@@ -8,6 +8,7 @@ L_p / weak-L_p quasi-norms are exact for such step functions.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -121,8 +122,8 @@ def integrate(f: GridFunction) -> complex:
 
 def lp_quasinorm(f: GridFunction, p: float) -> float:
     """((1/M_N) * sum |values|^p)^(1/p), exact for step functions."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
 
@@ -133,8 +134,8 @@ def weak_lp(f: GridFunction, p: float) -> float:
     values of |f|, and the supremum is attained as t increases to one of
     them, so it equals max_v v^p * mu{|f| >= v}.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     mag = np.abs(f.values)
     best = 0.0
     for v in np.unique(mag):

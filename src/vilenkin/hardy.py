@@ -20,14 +20,14 @@ from .funcspace import GridFunction, lp_quasinorm
 from .group import GeneratorSequence, cylinder_indices, variation
 from .identities import CheckReport
 from .transform import (
-    SpectralVector,
     _axis_pass,
     dirichlet,
+    fejer_kernel,
     fejer_mean,
     forward_transform,
-    inverse_transform,
     partial_sum,
     rademacher,
+    vilenkin_fn,
 )
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "select_alphas",
     "strong_sums",
     "sigma_norm_profile",
+    "partial_sum_norm_profile",
     "sigma_split_check",
 ]
 
@@ -288,11 +289,6 @@ def select_alphas(
 # --- strong convergence sums -------------------------------------------------
 
 
-def _batched_synthesis(gen: GeneratorSequence, coeffs: np.ndarray) -> np.ndarray:
-    """Synthesize a (batch, M_N) coefficient block to grid values."""
-    return _axis_pass(coeffs, gen, +1)
-
-
 def sigma_norm_profile(
     f: GridFunction,
     nmax: int,
@@ -314,7 +310,7 @@ def sigma_norm_profile(
     for start in range(1, nmax + 1, chunk):
         ks = np.arange(start, min(start + chunk, nmax + 1))
         weights = np.clip((ks[:, None] - 1 - j[None, :]) / ks[:, None], 0.0, None)
-        block = _batched_synthesis(gen, weights * coeffs[None, :])
+        block = _axis_pass(weights * coeffs[None, :], gen, +1)
         if hardy:
             star = np.abs(block)
             for n in range(gen.depth):  # rank-N average is |block| itself
@@ -325,21 +321,78 @@ def sigma_norm_profile(
     return out
 
 
-def partial_sum_norm_profile(f: GridFunction, nmax: int, p: float,
-                             chunk: int = 128) -> np.ndarray:
-    """||S_k f||_p for k = 1..nmax, batched like sigma_norm_profile."""
+# Bytes the partial-sum row engine may allocate at once.  An eighth goes to one
+# chunk of bases and shift blocks, an eighth to one chunk of rows, the rest to
+# the temporaries of their syntheses and reductions and to the coefficients
+# and characters kept for the whole call (at most M_N cells each).  A chunk
+# holds at least one base with its L blocks and one row, so a grid where those
+# alone pass an eighth of it goes over.
+_ROW_ENGINE_BYTES = 1 << 23
+
+
+def _partial_sum_rows(
+    f: GridFunction, n: int, reduce: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """reduce(rows) over the partial sums S_k f for k = 1..n, in order of k.
+
+    With L = M_s for the smallest rank s with M_s^2 >= M_N, write
+    k = qL + j with 1 <= j <= L.  The shift identity
+    D_{qL + j} = D_{qL} + psi_{qL} D_j gives
+
+        S_k f = S_{qL} f + psi_{qL} * T_{q,j},
+        T_{q,j} = sum_{i < j} f_hat(qL + i) psi_i.
+
+    psi_{qL} depends only on the digits at and above s (it is character q
+    of m[s:]) and T_{q,j} only on the L cells of m[:s], so on the
+    (M_N / L, L) view of the grid each row is one broadcast multiply-add.
+    Every base S_{qL} f and every block T_{q,j} is its own synthesis, so no
+    round-off accumulates across rows.  ``reduce`` maps a (rows, M_N) block
+    to one value per row; the block is reused, so it must not be kept.
+    """
+    gen = f.gen
+    s = next(r for r, M in enumerate(gen.scale) if M * M >= gen.size)
+    L = gen.scale[s]
+    H = gen.size // L
+    Q = -(-n // L)
+    coeffs = forward_transform(f).coeffs
+    coeff_blocks = coeffs.reshape(H, L)  # row q: f_hat(qL), ..., f_hat(qL + L - 1)
+    high, low = GeneratorSequence(gen.m[s:]), GeneratorSequence(gen.m[:s])
+    chars = _axis_pass(np.eye(H, dtype=np.complex128)[:Q], high, +1)
+    below = np.tri(L, dtype=bool)  # below[j - 1, i] is i < j
+    share = _ROW_ENGINE_BYTES // (8 * coeffs.itemsize)
+    q_step = max(1, share // (gen.size + L * L))
+    j_step = min(L, max(1, share // gen.size))
+    out = np.empty(n)
+
+    def reduce_chunk(qs: np.ndarray) -> None:
+        # A call per chunk frees its bases and blocks before the next chunk.
+        kept = np.arange(gen.size) < qs[:, None] * L
+        bases = _axis_pass(np.where(kept, coeffs, 0), gen, +1).reshape(-1, H, L)
+        shifts = _axis_pass(np.where(below, coeff_blocks[qs, None, :], 0), low, +1)
+        rows = np.empty((j_step, H, L), dtype=np.complex128)
+        for base, q, shift in zip(bases, qs, shifts):
+            top = min(L, n - q * L)
+            for j0 in range(0, top, j_step):
+                nj = min(j_step, top - j0)
+                block = rows[:nj]
+                np.multiply(chars[q][:, None], shift[j0 : j0 + nj, None, :], out=block)
+                block += base
+                out[q * L + j0 : q * L + j0 + nj] = reduce(block.reshape(nj, gen.size))
+
+    for q0 in range(0, Q, q_step):
+        reduce_chunk(np.arange(q0, min(q0 + q_step, Q)))
+    return out
+
+
+def partial_sum_norm_profile(f: GridFunction, nmax: int, p: float) -> np.ndarray:
+    """||S_k f||_p for k = 1..nmax, row by row through the shift identity."""
     gen = f.gen
     if not 1 <= nmax <= gen.size:
         raise ValueError(f"nmax={nmax} out of range [1, {gen.size}]")
-    coeffs = forward_transform(f).coeffs
-    out = np.empty(nmax)
-    j = np.arange(gen.size)
-    for start in range(1, nmax + 1, chunk):
-        ks = np.arange(start, min(start + chunk, nmax + 1))
-        weights = (j[None, :] < ks[:, None]).astype(float)
-        block = _batched_synthesis(gen, weights * coeffs[None, :])
-        out[ks - 1] = np.mean(np.abs(block) ** p, axis=-1) ** (1.0 / p)
-    return out
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+    sums = _partial_sum_rows(f, nmax, lambda rows: np.mean(np.abs(rows) ** p, axis=-1))
+    return sums ** (1.0 / p)
 
 
 def strong_sums(
@@ -359,8 +412,10 @@ def strong_sums(
     """
     if not 1 <= n <= f.gen.size:
         raise ValueError(f"n={n} out of range [1, {f.gen.size}]")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+    if n < 2 and mode in ("fejer_weighted", "gat"):
+        raise ValueError(f"n={n}: mode {mode!r} divides by log n, which needs n >= 2")
     k = np.arange(1, n + 1)
     if mode == "fejer_plain":
         weight = float(phi(n)) if phi is not None else 1.0
@@ -371,8 +426,8 @@ def strong_sums(
         norms = partial_sum_norm_profile(f, n, p)
         return float(np.sum(norms**p / k ** (2.0 - p)))
     if mode == "gat":
-        terms = np.array(
-            [lp_quasinorm(partial_sum(f, kk) - f, 1.0) for kk in k]
+        terms = _partial_sum_rows(
+            f, n, lambda rows: np.mean(np.abs(rows - f.values), axis=-1)
         )
         return float(np.sum(terms / k) / math.log(n))
     raise ValueError(f"unknown mode {mode!r}")
@@ -407,8 +462,6 @@ def sigma_split_check(
     part_low = (Ma / n) * fejer_mean(f, Ma)
     part_frozen = ((n - Ma) / n) * partial_sum(f, Ma)
     if n > Ma:
-        from .transform import fejer_kernel, vilenkin_fn
-
         kern = fejer_kernel(n - Ma, gen)
         part_kernel = (lam * Ma * (n - Ma) / n) * (
             GridFunction(gen, vilenkin_fn(Ma, gen).values) * kern

@@ -24,6 +24,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "naive_forward_transform",
+    "synthesize",
     "dirichlet",
     "fejer_kernel",
     "partial_sum",

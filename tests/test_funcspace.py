@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,34 @@ def test_lp_homogeneous(gen, rng):
 def test_lp_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
         lp_quasinorm(indicator_i1(), 0.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_norms_refuse_nonfinite_exponent(p):
+    for norm in (lp_quasinorm, weak_lp):
+        with pytest.raises(ValueError, match=f"got {p}"):
+            norm(indicator_i1(), p)
+
+
+EDGE_EXPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+    st.floats(max_value=0.0),
+    st.floats(min_value=5e-324, max_value=1e-6),
+    st.floats(min_value=1e-6, max_value=8.0),
+)
+
+
+@given(EDGE_EXPONENTS)
+@settings(max_examples=200)
+def test_norm_exponent_contract(p):
+    # finite positive p gives a finite value; anything else is refused by name
+    f = random_function(GeneratorSequence((2, 3)), np.random.default_rng(4))
+    for norm in (lp_quasinorm, weak_lp):
+        if 0 < p < math.inf:
+            assert 0 <= norm(f, p) < math.inf
+        else:
+            with pytest.raises(ValueError, match="p must be positive and finite"):
+                norm(f, p)
 
 
 def test_weak_lp_single_jump():

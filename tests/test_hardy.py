@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from vilenkin import (
     strong_sums,
     vilenkin_fn,
 )
+from vilenkin import hardy
+from vilenkin.hardy import partial_sum_norm_profile
 
 from conftest import random_function
 
@@ -318,6 +321,94 @@ def test_sigma_norm_profile_matches_loop(gen, rng):
 def test_strong_sums_rejects_bad_mode(gen, rng):
     with pytest.raises(ValueError):
         strong_sums(random_function(gen, rng), 2, mode="nope")
+
+
+@pytest.mark.parametrize("mode", ["gat", "fejer_weighted"])
+def test_strong_sums_refuse_n_one_where_log_n_divides(mode):
+    f = random_function(WALSH, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="n=1"):
+        strong_sums(f, 1, mode=mode)
+    assert math.isfinite(strong_sums(f, 2, mode=mode))
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_strong_sums_refuse_bad_exponent(p):
+    f = random_function(WALSH, np.random.default_rng(2))
+    with pytest.raises(ValueError, match=f"got {p}"):
+        strong_sums(f, 4, p=p, mode="simon")
+    with pytest.raises(ValueError, match=f"got {p}"):
+        partial_sum_norm_profile(f, 4, p)
+
+
+# --- the partial-sum row engine ----------------------------------------------
+
+# (generator, an n that is not a multiple of the engine's block length L)
+ENGINE_CASES = [
+    pytest.param(GeneratorSequence.walsh(7), 37, id="walsh7"),  # L = 16
+    pytest.param(GeneratorSequence.cycle([2, 3, 4], 5), 100, id="cycle234x5"),  # L = 24
+    pytest.param(GeneratorSequence((5,)), 3, id="depth1"),  # L = M_N, one block
+]
+
+
+def engine_rows(f, n):
+    got = []
+
+    def keep(rows):
+        got.append(rows.copy())
+        return np.zeros(len(rows))
+
+    hardy._partial_sum_rows(f, n, keep)
+    return np.concatenate(got)
+
+
+@pytest.mark.parametrize("g,odd_n", ENGINE_CASES)
+def test_partial_sum_rows_match_direct_loop(g, odd_n):
+    f = random_function(g, np.random.default_rng(g.size))
+    for n in (1, odd_n, g.size):
+        rows = engine_rows(f, n)
+        ref = np.array([partial_sum(f, k).values for k in range(1, n + 1)])
+        assert rows.shape == ref.shape
+        assert np.max(np.abs(rows - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("g,odd_n", ENGINE_CASES)
+def test_gat_matches_partial_sum_loop(g, odd_n):
+    f = random_function(g, np.random.default_rng(g.size + 1))
+    for n in (2, odd_n, g.size):
+        k = np.arange(1, n + 1)
+        terms = np.array([lp_quasinorm(partial_sum(f, kk) - f, 1.0) for kk in k])
+        expected = np.sum(terms / k) / math.log(n)
+        assert strong_sums(f, n, mode="gat") == pytest.approx(expected, rel=1e-12)
+
+
+def test_partial_sum_profiles_rerun_byte_identical():
+    g = GeneratorSequence.cycle([2, 3, 4], 5)
+    f = random_function(g, np.random.default_rng(5))
+    first = partial_sum_norm_profile(f, g.size, 0.5)
+    assert first.tobytes() == partial_sum_norm_profile(f, g.size, 0.5).tobytes()
+    assert strong_sums(f, g.size, mode="gat") == strong_sums(f, g.size, mode="gat")
+
+
+def test_row_engine_peak_allocation_within_budget(monkeypatch):
+    g = GeneratorSequence.walsh(12)  # L = 64, so n = M_N needs 64 bases
+    f = random_function(g, np.random.default_rng(6))
+    budget = 1 << 20
+    every_base = (g.size // 64) * g.size * 16
+    assert every_base >= 2 * budget
+    unbounded = partial_sum_norm_profile(f, g.size, 0.5)
+    monkeypatch.setattr(hardy, "_ROW_ENGINE_BYTES", budget)
+    tracemalloc.start()
+    try:
+        profile = partial_sum_norm_profile(f, g.size, 0.5)
+        profile_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        strong_sums(f, g.size, mode="gat")
+        gat_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile_peak <= budget
+    assert gat_peak <= budget
+    assert np.max(np.abs(profile - unbounded)) <= 1e-12 * np.max(unbounded)
 
 
 # --- boundedness at the M_k scale -------------------------------------------
