@@ -152,12 +152,15 @@ class ExperimentConfig:
             key, value = (tok.strip() for tok in line.split("=", 1))
             if key not in vars(cfg):
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in ("depth", "nmax", "seed"):
-                setattr(cfg, key, int(value))
-            elif key == "tol":
-                cfg.tol = float(value)
-            else:
-                setattr(cfg, key, value)
+            if key in ("depth", "nmax", "seed", "tol"):
+                convert = float if key == "tol" else int
+                try:
+                    value = convert(value)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}:{lineno}: bad value {value!r} for {key}"
+                    ) from exc
+            setattr(cfg, key, value)
         return cfg
 
     def build_generator(self) -> GeneratorSequence:
@@ -173,8 +176,11 @@ class ExperimentConfig:
             raise ConfigError("experiment needs an alphas spec")
         if spec.startswith("greedy:"):
             parts = spec.split(":")
-            count = int(parts[1])
-            threshold = float(parts[2]) if len(parts) > 2 else 4.0
+            try:
+                count = int(parts[1])
+                threshold = float(parts[2]) if len(parts) > 2 else 4.0
+            except ValueError as exc:
+                raise ConfigError(f"bad alphas spec {spec!r}: {exc}") from exc
             ranks = hardy.select_alphas(phi, count, gen, threshold)
             if len(ranks) < count:
                 raise ConfigError(

@@ -110,8 +110,20 @@ class GridFunction:
         if header[:3] != ["index", "real", "imag"]:
             raise ValueError(f"unexpected header {header}")
         v = np.zeros(gen.size, dtype=np.complex128)
+        seen = np.zeros(gen.size, dtype=bool)
         for row in r:
-            v[int(row[0])] = float(row[1]) + 1j * float(row[2])
+            i = int(row[0])
+            if not 0 <= i < gen.size:
+                raise ValueError(f"row index {i} out of range [0, {gen.size})")
+            if seen[i]:
+                raise ValueError(f"duplicate row index {i}")
+            seen[i] = True
+            v[i] = float(row[1]) + 1j * float(row[2])
+        missing = np.flatnonzero(~seen)
+        if missing.size:
+            raise ValueError(
+                f"missing row index {missing[0]} ({missing.size} of {gen.size} missing)"
+            )
         return cls(gen, v)
 
 
@@ -124,7 +136,12 @@ def lp_quasinorm(f: GridFunction, p: float) -> float:
     """((1/M_N) * sum |values|^p)^(1/p), exact for step functions."""
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    mag = np.abs(f.values)
+    top = float(np.max(mag))
+    if top == 0.0:
+        return 0.0
+    # Powers of |f| / max |f| stay <= 1, so no finite p overflows.
+    return top * float(np.mean((mag / top) ** p) ** (1.0 / p))
 
 
 def weak_lp(f: GridFunction, p: float) -> float:
@@ -132,16 +149,16 @@ def weak_lp(f: GridFunction, p: float) -> float:
 
     The distribution function of a step function jumps only at the distinct
     values of |f|, and the supremum is attained as t increases to one of
-    them, so it equals max_v v^p * mu{|f| >= v}.
+    them, so it equals max_v v^p * mu{|f| >= v}.  In sorted order the cells
+    with |f| >= v are those from the first occurrence of v on.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
-    mag = np.abs(f.values)
-    best = 0.0
-    for v in np.unique(mag):
-        if v > 0:
-            best = max(best, float(v**p * np.mean(mag >= v)))
-    return best
+    mag = np.sort(np.abs(f.values))
+    v, first = np.unique(mag, return_index=True)
+    pos = v > 0
+    measure = (mag.size - first[pos]) / mag.size
+    return float(np.max(v[pos] ** p * measure, initial=0.0))
 
 
 def refine(f: GridFunction, gen: GeneratorSequence) -> GridFunction:

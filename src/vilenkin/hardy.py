@@ -64,6 +64,23 @@ def _cell_average(values: np.ndarray, gen: GeneratorSequence, n: int) -> np.ndar
     ).reshape(lead + (gen.size,))
 
 
+def _maximal_abs(values: np.ndarray, gen: GeneratorSequence) -> np.ndarray:
+    """max_n |depth-n cylinder average| over ranks 0..N, per trailing-axis row.
+
+    Built in place over the same reshape-means as ``_cell_average``, so it
+    equals the maximal function of the conditional-expectation martingale
+    without materializing its N + 1 levels.
+    """
+    lead = values.shape[:-1]
+    star = np.abs(values)  # the rank-N average is the function itself
+    for n in range(gen.depth):
+        shape = lead + (gen.size // gen.scale[n], gen.scale[n])
+        view = star.reshape(shape)
+        mean = values.reshape(shape).mean(axis=-2, keepdims=True)
+        np.maximum(view, np.abs(mean), out=view)
+    return star
+
+
 def conditional_expectation(f: GridFunction, n: int) -> GridFunction:
     """Project f onto functions constant on depth-n cylinders."""
     if not 0 <= n <= f.gen.depth:
@@ -123,7 +140,7 @@ def hardy_quasinorm(f: FiniteMartingale, p: float) -> float:
 
 def function_hardy_quasinorm(f: GridFunction, p: float) -> float:
     """H_p quasi-norm of the martingale of conditional expectations of f."""
-    return hardy_quasinorm(FiniteMartingale.from_function(f), p)
+    return lp_quasinorm(GridFunction(f.gen, _maximal_abs(f.values, f.gen)), p)
 
 
 @dataclass(frozen=True)
@@ -311,13 +328,8 @@ def sigma_norm_profile(
         ks = np.arange(start, min(start + chunk, nmax + 1))
         weights = np.clip((ks[:, None] - 1 - j[None, :]) / ks[:, None], 0.0, None)
         block = _axis_pass(weights * coeffs[None, :], gen, +1)
-        if hardy:
-            star = np.abs(block)
-            for n in range(gen.depth):  # rank-N average is |block| itself
-                star = np.maximum(star, np.abs(_cell_average(block, gen, n)))
-            out[ks - 1] = np.mean(np.sqrt(star), axis=-1)
-        else:
-            out[ks - 1] = np.mean(np.sqrt(np.abs(block)), axis=-1)
+        star = _maximal_abs(block, gen) if hardy else np.abs(block)
+        out[ks - 1] = np.mean(np.sqrt(star), axis=-1)
     return out
 
 

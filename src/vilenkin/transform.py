@@ -3,12 +3,16 @@
 The characters psi_n are products of generalized Rademacher functions
 r_k(x) = exp(2*pi*i*x_k/m_k) raised to the digits of n.  Because both points
 and frequencies are indexed by the same mixed-radix system, analysis and
-synthesis factor into one dense size-m_k character transform per digit axis,
-costing O(M_N * sum_k m_k) instead of O(M_N^2).
+synthesis factor into one dense size-m_k character transform per digit axis.
+Consecutive digits are fused into runs of at most 64 cells (a larger radix
+runs alone), and each run is applied as one Kronecker-product matrix
+(Fino-Algazi), so a pass is one matmul per run and costs O(M_N * sum of the
+run sizes) instead of O(M_N^2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,6 +54,12 @@ class SpectralVector:
         object.__setattr__(self, "coeffs", c)
 
 
+# Largest cell count of a run of digits fused into one matrix.  A run of G
+# cells costs G multiply-adds per cell, so longer runs trade more arithmetic
+# for fewer, larger BLAS calls; a single radix above the cap runs alone.
+_BLOCK_CELLS = 64
+
+
 @lru_cache(maxsize=None)
 def _char_matrix(base: int, sign: int) -> np.ndarray:
     """Dense size-m character matrix exp(sign * 2*pi*i * j*x / m)."""
@@ -57,21 +67,51 @@ def _char_matrix(base: int, sign: int) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * jx / base)
 
 
+@lru_cache(maxsize=None)
+def _digit_runs(m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Split the radices, from digit 0 up, into runs of <= _BLOCK_CELLS cells."""
+    runs: list[tuple[int, ...]] = []
+    for base in m:
+        if runs and math.prod(runs[-1]) * base <= _BLOCK_CELLS:
+            runs[-1] += (base,)
+        else:
+            runs.append((base,))
+    return tuple(runs)
+
+
+@lru_cache(maxsize=None)
+def _run_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
+    """Kronecker product of the radices' character matrices, highest digit
+    outermost, so row and column indices follow the mixed-radix order."""
+    w = np.ones((1, 1), dtype=np.complex128)
+    for base in reversed(radices):
+        w = np.kron(w, _char_matrix(base, sign))
+    return w
+
+
 def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndarray:
     """Apply the size-m_k character transform along every digit axis.
 
     ``values`` may carry leading batch dimensions; the last axis must have
-    length M_N.  Summation order inside each butterfly is fixed by the dense
-    matmul, so results are bit-identical regardless of how callers batch.
+    length M_N.  Each run of digits is one matmul on a reshaped view: the run
+    of G cells below ``post`` cells of lower digits is the second-to-last
+    axis of (batch, M_N / (G * post), G, post).  The batch stays an axis of
+    its own, so every row goes through the same BLAS calls however many rows
+    there are, and a row's result is bit-identical batched or alone.
     """
     lead = values.shape[:-1]
-    # C-order reshape puts digit 0 on the last axis (stride 1).
-    arr = values.reshape(lead + tuple(reversed(gen.m)))
-    nd = arr.ndim
-    for k in range(gen.depth):
-        axis = nd - 1 - k
-        w = _char_matrix(gen.m[k], sign)
-        arr = np.moveaxis(np.tensordot(arr, w, axes=([axis], [1])), -1, axis)
+    batch = math.prod(lead)
+    arr = values
+    post = 1
+    for radices in _digit_runs(gen.m):
+        w = _run_matrix(radices, sign)
+        g = w.shape[0]
+        pre = gen.size // (g * post)
+        if post == 1:
+            arr = arr.reshape(batch, pre, g) @ w.T
+        else:
+            arr = w @ arr.reshape(batch, pre, g, post)
+        post *= g
     return arr.reshape(lead + (gen.size,))
 
 

@@ -82,6 +82,21 @@ def test_config_rejects_unknown_key(tmp_path):
         ExperimentConfig.load(str(cfg_file))
 
 
+def test_config_bad_integer_value_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("generator=constant:2\ndepth=abc\n")
+    assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'abc'" in err and "depth" in err
+
+
+def test_greedy_alphas_bad_count_exits_2(tmp_path, capsys):
+    assert main(["counterexample", "--generator", "constant:2", "--depth", "8",
+                 "--alphas", "greedy:x", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "greedy:x" in err
+
+
 # --- subcommands -------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,41 @@ def test_weak_lp_matches_brute_force(gen, rng):
     assert weak_lp(f, p) == pytest.approx(brute, rel=1e-2)
 
 
+def weak_lp_loop(f, p):
+    """The definition read off directly: one pass over the cells per value."""
+    mag = np.abs(f.values)
+    best = 0.0
+    for v in np.unique(mag):
+        if v > 0:
+            best = max(best, float(v**p * np.mean(mag >= v)))
+    return best
+
+
+def test_weak_lp_matches_value_loop(rng):
+    # The vectorized power may round a value 1 ulp away from the scalar power
+    # of the loop (psi_3 on (2, 3, 4, 2) shows it); nothing else differs.
+    for gen in (WALSH, GeneratorSequence.walsh(8), GeneratorSequence((2, 3, 4, 2))):
+        functions = [
+            vilenkin_fn(3, gen),
+            random_function(gen, rng),
+            GridFunction(gen, rng.integers(-3, 4, size=gen.size).astype(float)),
+            GridFunction.constant(gen, 0.0),
+        ]
+        for f in functions:
+            for p in (0.25, 0.5, 1.0, 2.0, 7.0):
+                assert weak_lp(f, p) == pytest.approx(weak_lp_loop(f, p), rel=4e-16, abs=0)
+
+
+def test_lp_large_exponent_does_not_overflow():
+    f = GridFunction(WALSH, np.array([3.0, 1.0, -2.0, 0.0, 1.0, 2.0, 3.0, -1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = lp_quasinorm(f, 700.0)
+    assert 2.99 < norm <= 3.0
+    assert norm == pytest.approx(3.0 * 0.25 ** (1 / 700), rel=1e-14)
+    assert lp_quasinorm(GridFunction.constant(WALSH, 0.0), 700.0) == 0.0
+
+
 def test_refine_identity(gen, rng):
     f = random_function(gen, rng)
     assert np.array_equal(refine(f, gen).values, f.values)
@@ -165,6 +201,21 @@ def test_csv_round_trip(gen, rng):
     buf.seek(0)
     g = GridFunction.from_csv(gen, buf)
     assert np.max(np.abs(f.values - g.values)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([0, 1, 2, 3, 4, 5, 6], "missing row index 7"),
+        ([0, 1, 2, 3, 4, 5, 6, 7, 3], "duplicate row index 3"),
+        ([0, 1, 2, 3, 4, 5, 6, 8], "row index 8 out of range"),
+        ([-1, 0, 1, 2, 3, 4, 5, 6], "row index -1 out of range"),
+    ],
+)
+def test_csv_refuses_bad_row_indices(rows, message):
+    text = "index,real,imag\n" + "".join(f"{i},1,0\n" for i in rows)
+    with pytest.raises(ValueError, match=message):
+        GridFunction.from_csv(WALSH, io.StringIO(text))
 
 
 @given(st.floats(min_value=0.25, max_value=4.0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from vilenkin import (
     GeneratorSequence,
     GridFunction,
     SpectralVector,
+    counterexample_martingale,
     cylinder_indices,
     dirichlet,
     fejer_kernel,
@@ -14,12 +17,16 @@ from vilenkin import (
     index_point,
     inverse_transform,
     lebesgue_constant,
+    lp_quasinorm,
     naive_forward_transform,
     partial_sum,
     point_index,
     rademacher,
+    sigma_norm_profile,
     vilenkin_fn,
 )
+
+from vilenkin.transform import _axis_pass
 
 from conftest import random_function
 
@@ -143,6 +150,57 @@ def test_convolution_theorem(gen, rng):
     lhs = forward_transform(conv).coeffs
     rhs = forward_transform(f).coeffs * forward_transform(g).coeffs
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+# --- the blocked axis pass ----------------------------------------------------
+
+# Runs of digits fuse into matrices of at most 64 cells: several runs, runs of
+# mixed radices, a radix above the cap on its own, and no digits at all.
+PASS_GENERATORS = [
+    GeneratorSequence.walsh(6),
+    GeneratorSequence.walsh(9),
+    GeneratorSequence((2, 2, 2, 2, 3, 4)),
+    GeneratorSequence.constant(3, 5),
+    GeneratorSequence((2, 67, 2)),
+    GeneratorSequence(()),
+]
+PASS_IDS = ["x".join(map(str, g.m)) or "empty" for g in PASS_GENERATORS]
+
+
+@pytest.mark.parametrize("g", PASS_GENERATORS, ids=PASS_IDS)
+@pytest.mark.parametrize("batch", [1, 2, 7, 128])
+def test_axis_pass_rows_identical_batched_or_alone(g, batch):
+    rng = np.random.default_rng(batch)
+    values = rng.normal(size=(batch, g.size)) + 1j * rng.normal(size=(batch, g.size))
+    for sign in (-1, +1):
+        rows = _axis_pass(values, g, sign)
+        for i in range(batch):
+            alone = _axis_pass(values[i], g, sign)
+            assert rows[i].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("g", PASS_GENERATORS, ids=PASS_IDS)
+def test_blocked_transform_matches_naive(g):
+    f = random_function(g, np.random.default_rng(g.size))
+    fast = forward_transform(f).coeffs
+    ref = naive_forward_transform(f).coeffs
+    assert np.max(np.abs(fast - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "theta, ranks", [(0.0, [1, 3, 5]), (0.5, [2, 3, 5])], ids=["const", "logpow"]
+)
+def test_sigma_profile_matches_direct_fejer_means(theta, ranks):
+    # Cells of these means vanish exactly, where sqrt magnifies any round-off
+    # a batched row picks up over the same row synthesized alone: a batch folded
+    # into the matmul rows moves the logpow case by 4e-9.
+    g = GeneratorSequence.walsh(6)
+    phi = lambda n: max(1.0, math.log(n) ** theta)
+    f = counterexample_martingale(phi, ranks, g).function
+    profile = sigma_norm_profile(f, g.size)
+    for n in range(1, g.size + 1):
+        direct = np.sqrt(lp_quasinorm(fejer_mean(f, n), 0.5))
+        assert abs(profile[n - 1] - direct) <= 1e-12
 
 
 # --- kernels -----------------------------------------------------------------
