@@ -21,6 +21,7 @@ from .group import (
     to_digits,
     variation,
     variation_star,
+    variation_table,
 )
 from .hardy import (
     Atom,
@@ -43,8 +44,11 @@ from .identities import CheckReport
 from .transform import (
     SpectralVector,
     dirichlet,
+    dirichlet_rows,
     fejer_kernel,
+    fejer_kernel_rows,
     fejer_mean,
+    fejer_mean_rows,
     forward_transform,
     inverse_transform,
     lebesgue_constant,
@@ -52,6 +56,7 @@ from .transform import (
     partial_sum,
     rademacher,
     synthesize,
+    synthesize_rows,
     vilenkin_fn,
 )
 

@@ -3,7 +3,9 @@
 Subcommands: verify | kernels | lebesgue | variation | counterexample.
 Configuration comes from a flat key=value file plus overriding flags; all
 outputs are CSV with 17-significant-digit decimals and LF line endings so
-reruns are byte-identical.  VILENKIN_THREADS caps worker parallelism.
+reruns are byte-identical.  VILENKIN_THREADS sets how many worker threads
+share the verify checks (one contiguous share each); no output byte depends
+on it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import hardy, identities, transform
-from .group import GeneratorSequence, variation
+from .funcspace import GridFunction, lp_quasinorm
+from .group import GeneratorSequence, variation_table
 
 __all__ = ["main", "ExperimentConfig", "parse_generator", "parse_phi"]
 
@@ -41,6 +44,8 @@ def parse_generator(spec: str, depth: Optional[int]) -> GeneratorSequence:
     itself (a given depth must then agree).
     """
     spec = spec.strip()
+    if depth is not None and depth < 0:
+        raise ConfigError(f"depth={depth} must be >= 0")
     try:
         if spec.startswith("constant:"):
             if depth is None:
@@ -74,15 +79,15 @@ def parse_phi(spec: str) -> Callable[[int], float]:
     try:
         if spec.startswith("const:"):
             c = float(spec.split(":", 1)[1])
-            if c < 1:
-                raise ConfigError("constant weight must be >= 1")
+            if not 1 <= c < math.inf:
+                raise ConfigError(f"bad phi spec {spec!r}: constant weight must be finite and >= 1")
             return lambda n, c=c: c
         if spec == "log":
             return lambda n: max(1.0, math.log(max(n, 1)))
         if spec.startswith("logpow:"):
             theta = float(spec.split(":", 1)[1])
-            if theta < 0:
-                raise ConfigError("logpow exponent must be >= 0")
+            if not 0 <= theta < math.inf:
+                raise ConfigError(f"bad phi spec {spec!r}: logpow exponent must be finite and >= 0")
             return lambda n, t=theta: max(1.0, math.log(max(n, 1)) ** t)
         if spec == "loglog":
             return lambda n: max(1.0, math.log(max(1.0, math.log(max(n, 2)))))
@@ -110,6 +115,9 @@ def _tabulated_phi(path: str) -> Callable[[int], float]:
     table.sort()
     if not table or table[0][1] < 1:
         raise ConfigError("phi table must be nonempty with values >= 1")
+    for n, v in table:
+        if not math.isfinite(v):
+            raise ConfigError(f"bad phi table {path!r}: value {v} at n={n} is not finite")
     for (_, a), (_, b) in zip(table, table[1:]):
         if b < a:
             raise ConfigError("phi table must be nondecreasing")
@@ -181,6 +189,8 @@ class ExperimentConfig:
                 threshold = float(parts[2]) if len(parts) > 2 else 4.0
             except ValueError as exc:
                 raise ConfigError(f"bad alphas spec {spec!r}: {exc}") from exc
+            if count < 1:
+                raise ConfigError(f"bad alphas spec {spec!r}: count must be >= 1")
             ranks = hardy.select_alphas(phi, count, gen, threshold)
             if len(ranks) < count:
                 raise ConfigError(
@@ -209,16 +219,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _write_lines(path: Path, header: Sequence[str], chunks: Iterable[str]) -> None:
+    """Write the header and then each chunk of LF-terminated lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(chunks)
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+    _write_lines(path, header, (",".join(row) + "\n" for row in rows))
 
 
 def _params_str(params) -> str:
     return ";".join(f"{k}={v}" for k, v in params.items())
+
+
+def _nmax(cfg: ExperimentConfig, default: int) -> int:
+    if cfg.nmax is None:
+        return default
+    if cfg.nmax < 1:
+        raise ConfigError(f"nmax={cfg.nmax} must be >= 1")
+    return cfg.nmax
 
 
 # --- subcommands -------------------------------------------------------------
@@ -226,6 +248,10 @@ def _params_str(params) -> str:
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
+    if not 0 <= cfg.tol < math.inf:
+        raise ConfigError(f"tol={cfg.tol} must be finite and >= 0")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed={cfg.seed} must be >= 0")
     rng = np.random.default_rng(cfg.seed)
     reports = identities.run_suite(
         gen, rng, tol=cfg.tol, max_workers=worker_count()
@@ -244,42 +270,67 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     for r in failed:
         print(f"FAILED {r.name} {_params_str(r.params)} value={r.value:.3g}",
               file=sys.stderr)
+    for r in _worst_reports(reports):
+        print(f"worst {r.name} {r.kind}={r.value:.3g} at {_params_str(r.params)}",
+              file=sys.stderr)
     print(f"verify: {len(reports) - len(failed)}/{len(reports)} checks passed")
     return EXIT_OK if not failed else EXIT_FAILED
 
 
-def _kernel_rows(gen: GeneratorSequence, nmax: int, kernel) -> list[list[str]]:
-    rows = []
-    for n in range(1, nmax + 1):
-        vals = kernel(n, gen).values
-        for i, v in enumerate(vals):
-            rows.append([str(n), str(i), _fmt(v.real), _fmt(v.imag)])
-    return rows
+def _worst_reports(reports: Sequence[identities.CheckReport]) -> list:
+    """Per check family, the largest deviation or the smallest margin."""
+    worst: dict[str, identities.CheckReport] = {}
+    for r in reports:
+        if r.kind == "vacuous":
+            continue
+        cur = worst.get(r.name)
+        if cur is None or (r.value > cur.value if r.kind == "deviation"
+                           else r.value < cur.value):
+            worst[r.name] = r
+    return list(worst.values())
+
+
+def _kernel_lines(gen: GeneratorSequence, blocks) -> Iterator[str]:
+    """One "n,cell,re,im" line per cell, the floats as _fmt formats them.
+
+    A block of kernel rows takes few distinct values, so each one (told
+    apart by its bits, which keeps -0.0 apart from 0.0) is formatted once.
+    """
+    cells = [f",{i}," for i in range(gen.size)]
+    for ns, rows in blocks:
+        parts = np.stack([rows.real, rows.imag])
+        bits, where = np.unique(parts.view(np.int64).ravel(), return_inverse=True)
+        text = np.array([_fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        where = where.reshape(parts.shape)
+        for n, re, im in zip(ns.tolist(), text[where[0]].tolist(), text[where[1]].tolist()):
+            yield "".join([f"{n}{c}{a},{b}\n" for c, a, b in zip(cells, re, im)])
 
 
 def cmd_kernels(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
-    nmax = cfg.nmax if cfg.nmax is not None else min(gen.size, 16)
+    nmax = _nmax(cfg, min(gen.size, 16))
     if nmax > gen.size:
         raise ConfigError(f"nmax={nmax} exceeds M_N={gen.size}")
     header = ["n", "cell_index", "value_re", "value_im"]
     out = Path(cfg.outdir)
-    _write_csv(out / "dirichlet.csv", header,
-               _kernel_rows(gen, nmax, transform.dirichlet))
-    _write_csv(out / "fejer.csv", header,
-               _kernel_rows(gen, nmax, transform.fejer_kernel))
+    orders = range(1, nmax + 1)
+    _write_lines(out / "dirichlet.csv", header,
+                 _kernel_lines(gen, transform.dirichlet_rows(orders, gen)))
+    _write_lines(out / "fejer.csv", header,
+                 _kernel_lines(gen, transform.fejer_kernel_rows(orders, gen)))
     print(f"kernels: wrote n <= {nmax} to {out}")
     return EXIT_OK
 
 
 def cmd_lebesgue(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
-    nmax = cfg.nmax if cfg.nmax is not None else min(gen.size, 64)
+    nmax = _nmax(cfg, min(gen.size, 64))
     if nmax > gen.size:
         raise ConfigError(f"nmax={nmax} exceeds M_N={gen.size}")
     rows = [
-        [str(n), _fmt(transform.lebesgue_constant(n, gen))]
-        for n in range(1, nmax + 1)
+        [str(n), _fmt(lp_quasinorm(GridFunction(gen, row), 1.0))]
+        for ns, block in transform.dirichlet_rows(range(1, nmax + 1), gen)
+        for n, row in zip(ns.tolist(), block)
     ]
     _write_csv(Path(cfg.outdir) / "lebesgue.csv", ["n", "L_n"], rows)
     print(f"lebesgue: wrote n <= {nmax}")
@@ -288,15 +339,17 @@ def cmd_lebesgue(cfg: ExperimentConfig) -> int:
 
 def cmd_variation(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
-    nmax = cfg.nmax if cfg.nmax is not None else gen.depth
+    nmax = _nmax(cfg, gen.depth)
     if nmax > gen.depth:
         raise ConfigError(f"nmax={nmax} exceeds depth {gen.depth}")
+    # totals[k] = v(0) + ... + v(k), with v(0) = 0.
+    totals = np.cumsum(variation_table(gen.scale[nmax], gen))
     rows = []
     for n in range(1, nmax + 1):
         Mn = gen.scale[n]
         if Mn < 2:
             continue
-        mean = sum(variation(l, gen) for l in range(1, Mn)) / (Mn - 1)
+        mean = int(totals[Mn - 1]) / (Mn - 1)
         rows.append([str(n), _fmt(mean), _fmt(mean / n)])
     _write_csv(Path(cfg.outdir) / "variation.csv", ["n", "mean_v", "mean_v_over_n"], rows)
     print(f"variation: wrote n <= {nmax}")
@@ -315,6 +368,8 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     nmax = 2 * gen.scale[alphas[-1]]
     profile = hardy.sigma_norm_profile(ce.function, nmax)
     cumulative = np.cumsum(profile)
+    # totals[k] = v(0) + ... + v(k), with v(0) = 0.
+    totals = np.cumsum(variation_table(gen.scale[alphas[-1]], gen))
 
     rows = []
     t_values = []
@@ -323,7 +378,7 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
         Ma = gen.scale[a]
         n = 2 * Ma
         t_n = cumulative[n - 1] / (n * phi(n))
-        v_mean = sum(variation(l, gen) for l in range(1, Ma)) / Ma
+        v_mean = int(totals[Ma - 1]) / Ma
         rows.append([
             str(k), str(a), str(Ma), _fmt(lam), str(n), _fmt(t_n),
             _fmt(v_mean), _fmt(profile[n - 1]),
@@ -406,8 +461,12 @@ COMMANDS = {
 }
 
 
+# Built once: parse_args leaves the parser unchanged.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         cfg = _merge(cfg, args)

@@ -29,6 +29,7 @@ __all__ = [
     "cylinder_indices",
     "variation",
     "variation_star",
+    "variation_table",
     "nonzero_blocks",
     "digit_values",
 ]
@@ -187,6 +188,25 @@ def variation(n: int, gen: GeneratorSequence) -> int:
     """
     d = _delta(n, gen)
     return sum(abs(d[j + 1] - d[j]) for j in range(len(d) - 1)) + d[0]
+
+
+def variation_table(count: int, gen: GeneratorSequence) -> np.ndarray:
+    """v(l) for l = 0, ..., count - 1, in exact integer arithmetic.
+
+    Builds the digit signs delta_j(l) = [(l // M_j) % m_j != 0] a digit at a
+    time; digits j with M_j >= count vanish for every l < count, so the
+    padding zero follows the last digit with M_j < count.
+    """
+    if not 0 <= count <= gen.size:
+        raise ValueError(f"count={count} out of range [0, {gen.size}]")
+    l = np.arange(count)
+    top = sum(1 for M in gen.scale[:-1] if M < count)
+    signs = [(l // gen.scale[j]) % gen.m[j] != 0 for j in range(top)]
+    signs.append(np.zeros(count, dtype=bool))
+    table = signs[0].astype(np.int64)
+    for lower, upper in zip(signs, signs[1:]):
+        table += lower != upper
+    return table
 
 
 def variation_star(n: int, gen: GeneratorSequence) -> int:

@@ -20,13 +20,14 @@ from .funcspace import GridFunction, lp_quasinorm
 from .group import GeneratorSequence, cylinder_indices, variation
 from .identities import CheckReport
 from .transform import (
-    _axis_pass,
     dirichlet,
     fejer_kernel,
     fejer_mean,
+    fejer_mean_rows,
     forward_transform,
     partial_sum,
     rademacher,
+    synthesize_rows,
     vilenkin_fn,
 )
 
@@ -323,11 +324,9 @@ def sigma_norm_profile(
         raise ValueError(f"nmax={nmax} out of range [1, {gen.size}]")
     coeffs = forward_transform(f).coeffs
     out = np.empty(nmax)
-    j = np.arange(gen.size)
     for start in range(1, nmax + 1, chunk):
         ks = np.arange(start, min(start + chunk, nmax + 1))
-        weights = np.clip((ks[:, None] - 1 - j[None, :]) / ks[:, None], 0.0, None)
-        block = _axis_pass(weights * coeffs[None, :], gen, +1)
+        block = fejer_mean_rows(coeffs, ks, gen)
         star = _maximal_abs(block, gen) if hardy else np.abs(block)
         out[ks - 1] = np.mean(np.sqrt(star), axis=-1)
     return out
@@ -369,7 +368,7 @@ def _partial_sum_rows(
     coeffs = forward_transform(f).coeffs
     coeff_blocks = coeffs.reshape(H, L)  # row q: f_hat(qL), ..., f_hat(qL + L - 1)
     high, low = GeneratorSequence(gen.m[s:]), GeneratorSequence(gen.m[:s])
-    chars = _axis_pass(np.eye(H, dtype=np.complex128)[:Q], high, +1)
+    chars = synthesize_rows(np.eye(H, dtype=np.complex128)[:Q], high)
     below = np.tri(L, dtype=bool)  # below[j - 1, i] is i < j
     share = _ROW_ENGINE_BYTES // (8 * coeffs.itemsize)
     q_step = max(1, share // (gen.size + L * L))
@@ -379,8 +378,8 @@ def _partial_sum_rows(
     def reduce_chunk(qs: np.ndarray) -> None:
         # A call per chunk frees its bases and blocks before the next chunk.
         kept = np.arange(gen.size) < qs[:, None] * L
-        bases = _axis_pass(np.where(kept, coeffs, 0), gen, +1).reshape(-1, H, L)
-        shifts = _axis_pass(np.where(below, coeff_blocks[qs, None, :], 0), low, +1)
+        bases = synthesize_rows(np.where(kept, coeffs, 0), gen).reshape(-1, H, L)
+        shifts = synthesize_rows(np.where(below, coeff_blocks[qs, None, :], 0), low)
         rows = np.empty((j_step, H, L), dtype=np.complex128)
         for base, q, shift in zip(bases, qs, shifts):
             top = min(L, n - q * L)

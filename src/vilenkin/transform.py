@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,8 +30,12 @@ __all__ = [
     "inverse_transform",
     "naive_forward_transform",
     "synthesize",
+    "synthesize_rows",
     "dirichlet",
+    "dirichlet_rows",
     "fejer_kernel",
+    "fejer_kernel_rows",
+    "fejer_mean_rows",
     "partial_sum",
     "fejer_mean",
     "lebesgue_constant",
@@ -160,11 +165,85 @@ def vilenkin_fn(n: int, gen: GeneratorSequence) -> GridFunction:
     return GridFunction(gen, np.exp(2j * np.pi * phase))
 
 
+def _dirichlet_masks(ns: np.ndarray, size: int) -> np.ndarray:
+    """Coefficient rows of D_n for each n in ``ns``: 1 below n, 0 from n on."""
+    return (np.arange(size) < ns[:, None]).astype(np.float64)
+
+
+def _fejer_weights(ns: np.ndarray, size: int) -> np.ndarray:
+    """Fejer multipliers for each n in ``ns``: (n - 1 - j) / n for j < n - 1,
+    0 from n - 1 on.  They are the coefficients of K_n and the weights that
+    take the coefficients of f to those of sigma_n f."""
+    top = min(size, max(ns.tolist(), default=1))
+    weights = np.zeros((ns.size, size))
+    col = ns[:, None]
+    np.divide(np.maximum(col - 1 - np.arange(top), 0), col, out=weights[:, :top])
+    return weights
+
+
+def _orders(ns: Iterable[int], gen: GeneratorSequence) -> np.ndarray:
+    """Kernel orders as an integer array, each checked to lie in [1, M_N]."""
+    ns = np.fromiter(ns, dtype=np.int64)
+    bad = ns[(ns < 1) | (ns > gen.size)]
+    if bad.size:
+        raise ValueError(f"n={bad[0]} out of range [1, {gen.size}]")
+    return ns
+
+
+def synthesize_rows(coeff_rows: np.ndarray, gen: GeneratorSequence) -> np.ndarray:
+    """Batched synthesis: each row along the last axis becomes sum_j c_j psi_j.
+
+    ``coeff_rows`` may carry any leading batch dimensions; its last axis must
+    have length M_N.  Every row is bit-identical to its synthesis alone.
+    """
+    rows = np.asarray(coeff_rows, dtype=np.complex128)
+    if rows.ndim == 0 or rows.shape[-1] != gen.size:
+        raise ValueError(
+            f"expected rows of {gen.size} coefficients, got shape {rows.shape}"
+        )
+    return _axis_pass(rows, gen, +1)
+
+
+# Bytes of synthesized rows one block of kernel rows holds (1024 complex
+# cells); on a grid of more cells a block is a single row.  Larger blocks
+# made no faster verify runs but grew the worker threads' heaps: 64 KiB
+# blocks raised the peak RSS of a verify/kernels run by 1.3 MiB, 16 KiB
+# blocks by 0.4 to 0.7 MiB.
+_ROW_BLOCK_BYTES = 1 << 14
+
+
+def _kernel_blocks(
+    ns: np.ndarray,
+    gen: GeneratorSequence,
+    coefficients: Callable[[np.ndarray, int], np.ndarray],
+    vanish_at_one: bool,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    step = max(1, _ROW_BLOCK_BYTES // (16 * gen.size))
+    for start in range(0, ns.size, step):
+        block = ns[start : start + step]
+        rows = synthesize_rows(coefficients(block, gen.size), gen)
+        if vanish_at_one:
+            rows[block == 1] = 0.0  # K_1 = 0 exactly, as in fejer_kernel
+        yield block, rows
+
+
 def dirichlet(n: int, gen: GeneratorSequence) -> GridFunction:
     """D_n = sum_{k < n} psi_k, materialized on the depth-N grid."""
     if not 1 <= n <= gen.size:
         raise ValueError(f"n={n} out of range [1, {gen.size}]")
-    return synthesize(gen, np.ones(n))
+    mask = _dirichlet_masks(np.array([n]), gen.size)[0]
+    return GridFunction(gen, synthesize_rows(mask, gen))
+
+
+def dirichlet_rows(
+    ns: Iterable[int], gen: GeneratorSequence
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """D_n for every n in ``ns``, in order, as (orders, rows) blocks.
+
+    A block holds at most _ROW_BLOCK_BYTES of rows (or a single row), and
+    row i of a block is bit-identical to ``dirichlet(orders[i], gen).values``.
+    """
+    return _kernel_blocks(_orders(ns, gen), gen, _dirichlet_masks, False)
 
 
 def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
@@ -177,8 +256,22 @@ def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
         raise ValueError(f"n={n} out of range [1, {gen.size}]")
     if n == 1:
         return GridFunction.constant(gen, 0.0)
-    weights = (n - 1 - np.arange(n - 1)) / n
-    return synthesize(gen, weights)
+    weights = _fejer_weights(np.array([n]), gen.size)[0]
+    return GridFunction(gen, synthesize_rows(weights, gen))
+
+
+def fejer_kernel_rows(
+    ns: Iterable[int], gen: GeneratorSequence
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """K_n for every n in ``ns``, in blocks like ``dirichlet_rows``."""
+    return _kernel_blocks(_orders(ns, gen), gen, _fejer_weights, True)
+
+
+def fejer_mean_rows(
+    coeffs: np.ndarray, ks: np.ndarray, gen: GeneratorSequence
+) -> np.ndarray:
+    """sigma_k f for every k in ``ks``, one row each, from f's coefficients."""
+    return synthesize_rows(_fejer_weights(_orders(ks, gen), gen.size) * coeffs, gen)
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -198,10 +291,8 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     """
     if not 1 <= n <= f.gen.size:
         raise ValueError(f"n={n} out of range [1, {f.gen.size}]")
-    coeffs = forward_transform(f).coeffs.copy()
-    weights = np.zeros(f.gen.size)
-    if n >= 2:
-        weights[: n - 1] = (n - 1 - np.arange(n - 1)) / n
+    coeffs = forward_transform(f).coeffs
+    weights = _fejer_weights(np.array([n]), f.gen.size)[0]
     return inverse_transform(SpectralVector(f.gen, coeffs * weights))
 
 

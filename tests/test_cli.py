@@ -97,6 +97,50 @@ def test_greedy_alphas_bad_count_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "greedy:x" in err
 
 
+BAD_INPUTS = [
+    (["kernels", "--generator", "constant:2", "--depth", "3", "--nmax", "0"], "nmax=0"),
+    (["kernels", "--generator", "constant:2", "--depth", "3", "--nmax", "-2"], "nmax=-2"),
+    (["lebesgue", "--generator", "constant:2", "--depth", "3", "--nmax", "0"], "nmax=0"),
+    (["lebesgue", "--generator", "constant:2", "--depth", "3", "--nmax", "-2"], "nmax=-2"),
+    (["variation", "--generator", "constant:2", "--depth", "3", "--nmax", "0"], "nmax=0"),
+    (["variation", "--generator", "constant:2", "--depth", "3", "--nmax", "-2"], "nmax=-2"),
+    (["verify", "--generator", "constant:2", "--depth", "3", "--tol", "nan"], "tol=nan"),
+    (["verify", "--generator", "constant:2", "--depth", "3", "--tol", "-1"], "tol=-1"),
+    (["verify", "--generator", "constant:2", "--depth", "3", "--tol", "inf"], "tol=inf"),
+    (["verify", "--generator", "constant:2", "--depth", "3", "--seed", "-1"], "seed=-1"),
+    (["verify", "--generator", "constant:2", "--depth", "-1"], "depth=-1"),
+    (["verify", "--generator", "cycle:2,3", "--depth", "-1"], "depth=-1"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--phi", "logpow:nan", "--alphas", "2,4"], "'logpow:nan'"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--phi", "logpow:inf", "--alphas", "2,4"], "'logpow:inf'"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--phi", "const:nan", "--alphas", "2,4"], "'const:nan'"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--phi", "const:inf", "--alphas", "2,4"], "'const:inf'"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--alphas", "greedy:0"], "'greedy:0'"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--alphas", "greedy:-1"], "'greedy:-1'"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_INPUTS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_input_exits_2_naming_the_value(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_phi_table_with_non_finite_value_is_config_error(tmp_path):
+    table = tmp_path / "phi.csv"
+    table.write_text("1,1\n10,nan\n")
+    with pytest.raises(ConfigError, match="nan"):
+        parse_phi(f"table:{table}")
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -115,6 +159,27 @@ def test_verify_shallow_depth_vacuous_lemma_rows(tmp_path):
     code = main(["verify", "--generator", "constant:2", "--depth", "2",
                  "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_verify_reports_worst_value_per_family(tmp_path, capsys):
+    import numpy as np
+
+    from vilenkin.identities import run_suite
+
+    assert main(["verify", "--generator", "cycle:2,3", "--depth", "6",
+                 "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("verify: ") and "worst" not in captured.out
+    worst = [line.split(" ", 3) for line in captured.err.splitlines()
+             if line.startswith("worst ")]
+    reports = run_suite(parse_generator("cycle:2,3", 6), np.random.default_rng(0))
+    families = list(dict.fromkeys(r.name for r in reports if r.kind != "vacuous"))
+    assert [w[1] for w in worst] == families
+    for _, name, value, _ in worst:
+        kind, number = value.split("=")
+        values = [r.value for r in reports if r.name == name and r.kind == kind]
+        expected = max(values) if kind == "deviation" else min(values)
+        assert number == f"{expected:.3g}"
 
 
 def test_malformed_generator_exits_2(tmp_path):
@@ -137,6 +202,51 @@ def test_kernels_and_lebesgue(tmp_path):
     assert float(rows["3"]) == 1.5
     assert float(rows["4"]) == 1.0
     assert float(rows["8"]) == 1.0
+
+
+def _old_kernel_csv(kernel, gen, nmax):
+    """The kernel CSV as written row by row with format(x, ".17g")."""
+    lines = ["n,cell_index,value_re,value_im"]
+    for n in range(1, nmax + 1):
+        for i, v in enumerate(kernel(n, gen).values):
+            lines.append(f"{n},{i},{format(float(v.real), '.17g')},{format(float(v.imag), '.17g')}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "spec, depth, nmax", [("constant:2", 5, 32), ("cycle:2,3,4", 4, 40), ("constant:3", 5, 243)]
+)
+def test_kernel_csvs_byte_equal_to_per_n_formatting(tmp_path, spec, depth, nmax):
+    from vilenkin import dirichlet, fejer_kernel
+
+    assert main(["kernels", "--generator", spec, "--depth", str(depth),
+                 "--nmax", str(nmax), "--out", str(tmp_path)]) == 0
+    gen = parse_generator(spec, depth)
+    assert read(tmp_path / "dirichlet.csv") == _old_kernel_csv(dirichlet, gen, nmax)
+    assert read(tmp_path / "fejer.csv") == _old_kernel_csv(fejer_kernel, gen, nmax)
+    if spec == "constant:3":
+        # D_n on 3^5 takes the value -0.0 in some real parts as well as 0.0.
+        assert b",-0," in read(tmp_path / "dirichlet.csv")
+
+
+def test_lebesgue_and_variation_match_per_n_oracles(tmp_path):
+    from vilenkin import lebesgue_constant, variation
+
+    gen = parse_generator("cycle:2,3,4", 4)
+    assert main(["lebesgue", "--generator", "cycle:2,3,4", "--depth", "4",
+                 "--nmax", str(gen.size), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "lebesgue.csv").read_text().splitlines()[1:]
+    assert lines == [f"{n},{format(lebesgue_constant(n, gen), '.17g')}"
+                     for n in range(1, gen.size + 1)]
+    assert main(["variation", "--generator", "cycle:2,3,4", "--depth", "4",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "variation.csv").read_text().splitlines()[1:]
+    expected = []
+    for n in range(1, gen.depth + 1):
+        Mn = gen.scale[n]
+        mean = sum(variation(l, gen) for l in range(1, Mn)) / (Mn - 1)
+        expected.append(f"{n},{format(mean, '.17g')},{format(mean / n, '.17g')}")
+    assert lines == expected
 
 
 def test_lebesgue_scale_rows_exact(tmp_path):

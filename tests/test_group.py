@@ -16,6 +16,7 @@ from vilenkin import (
     to_digits,
     variation,
     variation_star,
+    variation_table,
 )
 
 WALSH = GeneratorSequence.walsh(3)
@@ -152,6 +153,25 @@ def test_walsh_variation_average_goldens():
         total = sum(variation(l, g) for l in range(1, g.scale[n]))
         assert total == expected
         assert total * 2 == (n + 1) * g.scale[n]
+
+
+@pytest.mark.parametrize(
+    "m", [(2,) * 9, (2, 3, 4, 2, 3), (3,) * 5, (2, 67, 2), (5, 2), ()], ids=str
+)
+def test_variation_table_matches_variation(m):
+    g = GeneratorSequence(m)
+    for count in sorted({0, 1, 2, 3, g.size // 2, g.size}):
+        if count > g.size:
+            continue
+        table = variation_table(count, g)
+        assert table.tolist() == [variation(l, g) for l in range(count)], count
+
+
+def test_variation_table_rejects_out_of_range_count():
+    with pytest.raises(ValueError, match="count=9"):
+        variation_table(9, WALSH)
+    with pytest.raises(ValueError, match="count=-1"):
+        variation_table(-1, WALSH)
 
 
 def test_nonzero_blocks_scattered():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vilenkin import GeneratorSequence
+from vilenkin import GeneratorSequence, dirichlet, fejer_kernel, rademacher, to_digits
 from vilenkin.identities import (
     CheckReport,
     check_block_pattern_lower_bound,
@@ -191,6 +191,79 @@ def test_suite_deterministic_and_green():
     b = run_suite(gen, np.random.default_rng(0))
     assert a == b
     assert all(r.passed for r in a)
+
+
+def _vanishing_by_digit_loop(n, s, t, gen):
+    """(count, deviation) by expanding every depth-(n+1) cell's digits."""
+    kern = fejer_kernel(s * gen.scale[n], gen).values
+    dev, count = 0.0, 0
+    for i in range(gen.scale[n + 1]):
+        d = to_digits(i, gen).digits
+        if any(d[j] for j in range(t)) or d[t] == 0:
+            continue
+        if not any(d[j] for j in range(t + 1, n)):
+            continue
+        count += 1
+        dev = max(dev, abs(kern[i]))
+    return count, dev
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [GeneratorSequence.walsh(6), GeneratorSequence((2, 2, 2, 2, 3, 4)),
+     GeneratorSequence.cycle([2, 3, 4], 5), GeneratorSequence((2, 67, 2)),
+     GeneratorSequence.constant(3, 5)],
+    ids=str,
+)
+def test_kernel_vanishing_matches_digit_loop(gen):
+    for n in range(1, gen.depth - 1 + 1):
+        for s in range(1, gen.m[n]):
+            for t in range(n):
+                count, dev = _vanishing_by_digit_loop(n, s, t, gen)
+                r = check_kernel_vanishing(n, s, t, gen)
+                if count == 0:
+                    assert r.kind == "vacuous" and r.passed, (n, s, t)
+                else:
+                    assert r.note == f"cells={count}", (n, s, t)
+                    assert r.value == float(dev), (n, s, t)
+
+
+def _digit_expansion_by_single_kernels(n, gen):
+    """The identity's deviation with every kernel synthesized on its own."""
+    digits = to_digits(n, gen).digits
+    terms = [(j, d) for j, d in reversed(list(enumerate(digits))) if d]
+    prefix = np.ones(gen.size, dtype=np.complex128)
+    rhs = np.zeros(gen.size, dtype=np.complex128)
+    tail = n
+    for k, (pos, dig) in enumerate(terms):
+        piece = dig * gen.scale[pos]
+        tail -= piece
+        rhs += prefix * piece * fejer_kernel(piece, gen).values
+        if k < len(terms) - 1:
+            rhs += prefix * tail * dirichlet(piece, gen).values
+        prefix = prefix * rademacher(pos, gen).values ** dig
+    return float(np.max(np.abs(n * fejer_kernel(n, gen).values - rhs)))
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [GeneratorSequence.walsh(6), GeneratorSequence((2, 2, 2, 2, 3, 4)),
+     GeneratorSequence.cycle([2, 3, 4], 5), GeneratorSequence((2, 67, 2))],
+    ids=str,
+)
+def test_kernel_digit_expansion_matches_single_kernel_loop(gen):
+    for n in range(1, gen.size):
+        expected = _digit_expansion_by_single_kernels(n, gen)
+        assert check_kernel_digit_expansion(n, gen).value == expected, n
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 7])
+def test_suite_reports_equal_for_any_worker_count(workers):
+    # cycle:2,3 to depth 5 schedules 109 checks: no worker count here divides it.
+    gen = GeneratorSequence.cycle([2, 3], 5)
+    one = run_suite(gen, np.random.default_rng(9), max_workers=1)
+    assert len(one) % workers != 0
+    assert run_suite(gen, np.random.default_rng(9), max_workers=workers) == one
 
 
 def test_suite_thread_count_invariant():

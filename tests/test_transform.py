@@ -23,10 +23,17 @@ from vilenkin import (
     point_index,
     rademacher,
     sigma_norm_profile,
+    synthesize,
     vilenkin_fn,
 )
 
-from vilenkin.transform import _axis_pass
+from vilenkin.transform import (
+    _axis_pass,
+    dirichlet_rows,
+    fejer_kernel_rows,
+    fejer_mean_rows,
+    synthesize_rows,
+)
 
 from conftest import random_function
 
@@ -201,6 +208,98 @@ def test_sigma_profile_matches_direct_fejer_means(theta, ranks):
     for n in range(1, g.size + 1):
         direct = np.sqrt(lp_quasinorm(fejer_mean(f, n), 0.5))
         assert abs(profile[n - 1] - direct) <= 1e-12
+
+
+# --- batched rows ------------------------------------------------------------
+
+ROW_GENERATORS = [
+    GeneratorSequence.walsh(6),
+    GeneratorSequence((2, 2, 2, 2, 3, 4)),
+    GeneratorSequence.cycle([2, 3, 4], 5),
+    GeneratorSequence((2, 67, 2)),
+]
+ROW_IDS = ["x".join(map(str, g.m)) for g in ROW_GENERATORS]
+
+
+def _dirichlet_by_synthesis(n, g):
+    return synthesize(g, np.ones(n)).values
+
+
+def _fejer_by_synthesis(n, g):
+    if n == 1:
+        return GridFunction.constant(g, 0.0).values
+    return synthesize(g, (n - 1 - np.arange(n - 1)) / n).values
+
+
+@pytest.mark.parametrize("g", ROW_GENERATORS, ids=ROW_IDS)
+@pytest.mark.parametrize(
+    "rows, single, oracle",
+    [(dirichlet_rows, dirichlet, _dirichlet_by_synthesis),
+     (fejer_kernel_rows, fejer_kernel, _fejer_by_synthesis)],
+    ids=["dirichlet", "fejer"],
+)
+def test_kernel_rows_byte_equal_to_single_kernels(g, rows, single, oracle):
+    # The oracle is the one-row synthesis of the coefficients written out.
+    seen = []
+    for ns, block in rows(range(1, g.size + 1), g):
+        assert block.shape == (ns.size, g.size)
+        for n, row in zip(ns.tolist(), block):
+            expected = oracle(n, g).tobytes()
+            assert row.tobytes() == expected, n
+            assert single(n, g).values.tobytes() == expected, n
+            seen.append(n)
+    assert seen == list(range(1, g.size + 1))
+
+
+def test_kernel_rows_keep_order_and_validate_eagerly():
+    g = GeneratorSequence.walsh(4)
+    ns = [5, 1, 16, 5]
+    got = [n for block, _ in fejer_kernel_rows(ns, g) for n in block.tolist()]
+    assert got == ns
+    for bad in ([0], [3, 17]):
+        with pytest.raises(ValueError, match=f"n={bad[-1]} out of range"):
+            dirichlet_rows(bad, g)  # refused before the first block is asked for
+    assert list(dirichlet_rows([], g)) == []
+
+
+@pytest.mark.parametrize("g", PASS_GENERATORS, ids=PASS_IDS)
+def test_synthesize_rows_matches_inverse_transform(g):
+    rng = np.random.default_rng(g.size)
+    coeffs = rng.normal(size=(3, 2, g.size)) + 1j * rng.normal(size=(3, 2, g.size))
+    rows = synthesize_rows(coeffs, g)
+    assert rows.shape == coeffs.shape
+    for idx in np.ndindex(3, 2):
+        alone = inverse_transform(SpectralVector(g, coeffs[idx])).values
+        assert rows[idx].tobytes() == alone.tobytes()
+    with pytest.raises(ValueError):
+        synthesize_rows(np.ones(g.size + 1), g)
+
+
+def test_fejer_mean_rows_byte_equal_to_fejer_mean():
+    g = GeneratorSequence.cycle([2, 3, 4], 4)
+    f = random_function(g, np.random.default_rng(3))
+    coeffs = forward_transform(f).coeffs
+    ks = np.arange(1, g.size + 1)
+    rows = fejer_mean_rows(coeffs, ks, g)
+    for k in ks:
+        assert rows[k - 1].tobytes() == fejer_mean(f, int(k)).values.tobytes()
+
+
+@pytest.mark.parametrize("hardy", [False, True], ids=["plain", "hardy"])
+def test_sigma_profile_bit_identical_to_clipped_weights_oracle(hardy):
+    # The weights as sigma_norm_profile wrote them before the shared builder.
+    from vilenkin.hardy import _maximal_abs
+
+    g = GeneratorSequence.walsh(6)
+    f = counterexample_martingale(lambda n: max(1.0, math.log(n) ** 0.5), [2, 3, 5], g).function
+    coeffs = forward_transform(f).coeffs
+    ks = np.arange(1, g.size + 1)
+    j = np.arange(g.size)
+    weights = np.clip((ks[:, None] - 1 - j[None, :]) / ks[:, None], 0.0, None)
+    block = _axis_pass(weights * coeffs[None, :], g, +1)
+    star = _maximal_abs(block, g) if hardy else np.abs(block)
+    expected = np.mean(np.sqrt(star), axis=-1)
+    assert sigma_norm_profile(f, g.size, hardy=hardy).tobytes() == expected.tobytes()
 
 
 # --- kernels -----------------------------------------------------------------
