@@ -3,18 +3,18 @@
 Subcommands: verify | kernels | lebesgue | variation | counterexample.
 Configuration comes from a flat key=value file plus overriding flags; all
 outputs are CSV with 17-significant-digit decimals and LF line endings so
-reruns are byte-identical.  VILENKIN_THREADS sets how many worker threads
-share the verify checks (one contiguous share each); no output byte depends
-on it.
+reruns are byte-identical; a field is quoted only when it holds a comma, a
+quote or a line break.  ``verify`` runs its checks as one serial sweep in a
+fixed order.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -207,14 +207,6 @@ class ExperimentConfig:
         return ranks
 
 
-def worker_count() -> int:
-    cap = os.environ.get("VILENKIN_THREADS", "")
-    try:
-        return max(1, int(cap)) if cap else 1
-    except ValueError:
-        raise ConfigError(f"bad VILENKIN_THREADS value {cap!r}")
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -228,7 +220,11 @@ def _write_lines(path: Path, header: Sequence[str], chunks: Iterable[str]) -> No
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    _write_lines(path, header, (",".join(row) + "\n" for row in rows))
+    """Write the header and rows, quoting a field only if it holds a comma,
+    a quote or a line break."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _params_str(params) -> str:
@@ -253,9 +249,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     if cfg.seed < 0:
         raise ConfigError(f"seed={cfg.seed} must be >= 0")
     rng = np.random.default_rng(cfg.seed)
-    reports = identities.run_suite(
-        gen, rng, tol=cfg.tol, max_workers=worker_count()
-    )
+    reports = identities.run_suite(gen, rng, tol=cfg.tol)
     rows = [
         [r.name, _params_str(r.params), _fmt(r.value), _fmt(r.tolerance),
          str(r.passed).lower()]

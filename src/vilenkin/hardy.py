@@ -307,11 +307,12 @@ def select_alphas(
 # --- strong convergence sums -------------------------------------------------
 
 
+# Fejer means synthesized per batch by sigma_norm_profile.
+_PROFILE_CHUNK = 128
+
+
 def sigma_norm_profile(
-    f: GridFunction,
-    nmax: int,
-    hardy: bool = False,
-    chunk: int = 128,
+    f: GridFunction, nmax: int, hardy: bool = False
 ) -> np.ndarray:
     """||sigma_k f||_{1/2}^{1/2} for k = 1..nmax, optionally in H_{1/2}.
 
@@ -324,8 +325,8 @@ def sigma_norm_profile(
         raise ValueError(f"nmax={nmax} out of range [1, {gen.size}]")
     coeffs = forward_transform(f).coeffs
     out = np.empty(nmax)
-    for start in range(1, nmax + 1, chunk):
-        ks = np.arange(start, min(start + chunk, nmax + 1))
+    for start in range(1, nmax + 1, _PROFILE_CHUNK):
+        ks = np.arange(start, min(start + _PROFILE_CHUNK, nmax + 1))
         block = fejer_mean_rows(coeffs, ks, gen)
         star = _maximal_abs(block, gen) if hardy else np.abs(block)
         out[ks - 1] = np.mean(np.sqrt(star), axis=-1)

@@ -10,9 +10,8 @@ depth.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -316,55 +315,38 @@ def check_digit_tail_bound(n: int, gen: GeneratorSequence) -> CheckReport:
     return CheckReport.margin("digit_tail_bound", {"n": n}, float(margin))
 
 
+# Random block patterns drawn for check_block_pattern_lower_bound per sweep.
+_BLOCK_SAMPLES = 20
+
+
 def run_suite(
-    gen: GeneratorSequence,
-    rng: np.random.Generator,
-    tol: float = DEFAULT_TOL,
-    max_workers: int = 1,
-    block_samples: int = 20,
+    gen: GeneratorSequence, rng: np.random.Generator, tol: float = DEFAULT_TOL
 ) -> list[CheckReport]:
     """Run the full verification sweep for one generator sequence.
 
-    Work items are pure, so they may execute on any number of threads.  With
-    ``max_workers`` > 1 each worker runs one contiguous share of the items,
-    and the shares are joined in order, so the reports are the same list
-    whatever the worker count.
+    The checks run one after another in a fixed order, so the same generator
+    and seed give the same list of reports.
     """
     N = gen.depth
-    jobs: list[Callable[[], CheckReport]] = []
-
-    for n in range(N + 1):
-        jobs.append(lambda n=n: check_dirichlet_at_scale(n, gen, tol))
-    for n in range(N):
-        for s in range(1, gen.m[n]):
-            jobs.append(lambda n=n, s=s: check_dirichlet_scaled(n, s, gen, tol))
-    for alpha in range(N):
-        if 2 * gen.scale[alpha] <= gen.size:
-            jobs.append(lambda a=alpha: check_dirichlet_shift(a, gen, tol))
-    for n in range(min(N - 1, 5) + 1):
-        for s in range(1, gen.m[n]):
-            jobs.append(lambda n=n, s=s: check_kernel_block_decomposition(n, s, gen, tol))
-    for n in range(1, min(N - 1, 6) + 1):
-        for s in range(1, gen.m[n]):
-            jobs.append(lambda n=n, s=s: check_kernel_lower_bound(n, s, gen))
-    for n in range(2, min(N - 1, 5) + 1):
-        for s in range(1, gen.m[n]):
-            for t in range(n - 1):
-                jobs.append(lambda n=n, s=s, t=t: check_kernel_vanishing(n, s, t, gen, tol))
+    reports = [check_dirichlet_at_scale(n, gen, tol) for n in range(N + 1)]
+    reports += [check_dirichlet_scaled(n, s, gen, tol)
+                for n in range(N) for s in range(1, gen.m[n])]
+    reports += [check_dirichlet_shift(alpha, gen, tol)
+                for alpha in range(N) if 2 * gen.scale[alpha] <= gen.size]
+    reports += [check_kernel_block_decomposition(n, s, gen, tol)
+                for n in range(min(N - 1, 5) + 1) for s in range(1, gen.m[n])]
+    reports += [check_kernel_lower_bound(n, s, gen)
+                for n in range(1, min(N - 1, 6) + 1) for s in range(1, gen.m[n])]
+    reports += [check_kernel_vanishing(n, s, t, gen, tol)
+                for n in range(2, min(N - 1, 5) + 1)
+                for s in range(1, gen.m[n]) for t in range(n - 1)]
     if N >= 4:
         for n in range(1, gen.scale[4]):
-            jobs.append(lambda n=n: check_kernel_digit_expansion(n, gen, tol))
-            jobs.append(lambda n=n: check_digit_tail_bound(n, gen))
-    for pattern in _random_block_patterns(gen, rng, block_samples):
-        jobs.append(lambda p=pattern: check_block_pattern_lower_bound(p, gen))
-
-    if max_workers > 1:
-        cuts = [len(jobs) * w // max_workers for w in range(max_workers + 1)]
-        shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            done = pool.map(lambda share: [j() for j in share], shares)
-            return [report for share in done for report in share]
-    return [j() for j in jobs]
+            reports.append(check_kernel_digit_expansion(n, gen, tol))
+            reports.append(check_digit_tail_bound(n, gen))
+    reports += [check_block_pattern_lower_bound(p, gen)
+                for p in _random_block_patterns(gen, rng, _BLOCK_SAMPLES)]
+    return reports
 
 
 def _random_block_patterns(

@@ -206,9 +206,9 @@ def synthesize_rows(coeff_rows: np.ndarray, gen: GeneratorSequence) -> np.ndarra
 
 # Bytes of synthesized rows one block of kernel rows holds (1024 complex
 # cells); on a grid of more cells a block is a single row.  Larger blocks
-# made no faster verify runs but grew the worker threads' heaps: 64 KiB
-# blocks raised the peak RSS of a verify/kernels run by 1.3 MiB, 16 KiB
-# blocks by 0.4 to 0.7 MiB.
+# made no faster verify/kernels/lebesgue runs but raised their peak RSS
+# (by 0.2 MiB at 64 KiB and 1.4 MiB at 256 KiB, on six-digit grids of 192
+# or 240 cells, 2-core Xeon, one BLAS thread); 4 KiB blocks were slower.
 _ROW_BLOCK_BYTES = 1 << 14
 
 

@@ -1,8 +1,13 @@
+import csv
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vilenkin
 from vilenkin.cli import (
     ConfigError,
     ExperimentConfig,
@@ -152,6 +157,29 @@ def test_verify_walsh_passes(tmp_path):
     lines = (out / "verify.csv").read_text().splitlines()
     assert lines[0] == "name,params,deviation_or_margin,tolerance,passed"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_verify_csv_reads_back_with_csv_reader(tmp_path):
+    import numpy as np
+
+    from vilenkin.identities import run_suite
+
+    assert main(["verify", "--generator", "cycle:2,3,4", "--depth", "6",
+                 "--seed", "3", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "verify.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["name", "params", "deviation_or_margin", "tolerance", "passed"]
+    assert all(len(row) == 5 for row in rows)
+    reports = run_suite(parse_generator("cycle:2,3,4", 6), np.random.default_rng(3))
+    params = [";".join(f"{k}={v}" for k, v in r.params.items()) for r in reports]
+    assert [row[1] for row in rows[1:]] == params
+    assert any("," in p for p in params)  # block patterns: blocks=((4, 4),);n=48
+    # Only a field holding a comma is quoted, and every line ends in a bare LF.
+    lines = (tmp_path / "verify.csv").read_bytes().decode().split("\n")
+    assert lines[-1] == "" and len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows[1:]):
+        field = f'"{row[1]}"' if "," in row[1] else row[1]
+        assert line == ",".join([row[0], field, *row[2:]])
 
 
 def test_verify_shallow_depth_vacuous_lemma_rows(tmp_path):
@@ -316,20 +344,33 @@ def test_counterexample_greedy_infeasible_is_config_error(tmp_path):
 # --- determinism -------------------------------------------------------------
 
 
-def run_all(base, threads):
-    os.environ["VILENKIN_THREADS"] = threads
-    try:
-        for i, args in enumerate([
-            ["verify", "--generator", "cycle:2,3", "--depth", "6", "--seed", "7"],
-            ["kernels", "--generator", "constant:2", "--depth", "4", "--nmax", "6"],
-            ["lebesgue", "--generator", "constant:3", "--depth", "3", "--nmax", "20"],
-            ["variation", "--generator", "constant:2", "--depth", "7"],
-            ["counterexample", "--generator", "constant:2", "--depth", "9",
-             "--phi", "const:1", "--alphas", "3,5,7"],
-        ]):
-            assert main(args + ["--out", str(base / str(i))]) == 0
-    finally:
-        os.environ.pop("VILENKIN_THREADS", None)
+RUN_ALL_ARGS = [
+    ["verify", "--generator", "cycle:2,3", "--depth", "6", "--seed", "7"],
+    ["kernels", "--generator", "constant:2", "--depth", "4", "--nmax", "6"],
+    ["lebesgue", "--generator", "constant:3", "--depth", "3", "--nmax", "20"],
+    ["variation", "--generator", "constant:2", "--depth", "7"],
+    ["counterexample", "--generator", "constant:2", "--depth", "9",
+     "--phi", "const:1", "--alphas", "3,5,7"],
+]
+
+
+def run_all(base):
+    for i, args in enumerate(RUN_ALL_ARGS):
+        assert main(args + ["--out", str(base / str(i))]) == 0
+
+
+def run_all_under_blas_threads(base, threads):
+    """The same commands, each in a fresh interpreter with `threads` BLAS workers."""
+    src = str(Path(vilenkin.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    for i, args in enumerate(RUN_ALL_ARGS):
+        subprocess.run(
+            [sys.executable, "-m", "vilenkin.cli", *args, "--out", str(base / str(i))],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
 
 
 def collect(base):
@@ -339,9 +380,18 @@ def collect(base):
     }
 
 
+def test_outputs_byte_identical_across_reruns(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_all(a)
+    run_all(b)
+    assert collect(a) == collect(b)
+
+
 def test_outputs_byte_identical_across_reruns_and_threads(tmp_path):
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    run_all(a, "1")
-    run_all(b, "1")
-    run_all(c, "8")
-    assert collect(a) == collect(b) == collect(c)
+    # BLAS is the only part that runs on several threads.
+    run_all(tmp_path / "in_process")
+    expected = collect(tmp_path / "in_process")
+    for threads in (1, 2):
+        base = tmp_path / f"blas{threads}"
+        run_all_under_blas_threads(base, threads)
+        assert collect(base) == expected, threads

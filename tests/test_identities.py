@@ -1,6 +1,14 @@
+import functools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vilenkin
 from vilenkin import GeneratorSequence, dirichlet, fejer_kernel, rademacher, to_digits
 from vilenkin.identities import (
     CheckReport,
@@ -193,6 +201,44 @@ def test_suite_deterministic_and_green():
     assert all(r.passed for r in a)
 
 
+@functools.lru_cache(maxsize=None)
+def _suite_under_blas_threads(depth, seed, threads):
+    """run_suite on cycle:2,3 in a fresh interpreter with `threads` BLAS workers."""
+    script = (
+        "import pickle, sys\n"
+        "import numpy as np\n"
+        "from vilenkin import GeneratorSequence\n"
+        "from vilenkin.identities import run_suite\n"
+        f"gen = GeneratorSequence.cycle([2, 3], {depth})\n"
+        f"reports = run_suite(gen, np.random.default_rng({seed}))\n"
+        "sys.stdout.buffer.write(pickle.dumps(reports))\n"
+    )
+    src = str(Path(vilenkin.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        check=True, timeout=300,
+    )
+    return pickle.loads(out.stdout)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 7])
+def test_suite_reports_equal_for_any_worker_count(workers):
+    # The only worker pool left is the BLAS one: its size must not move a report.
+    one = _suite_under_blas_threads(5, 9, 1)
+    assert len(one) == 109
+    assert _suite_under_blas_threads(5, 9, workers) == one
+
+
+def test_suite_thread_count_invariant():
+    a = _suite_under_blas_threads(6, 5, 1)
+    assert a == run_suite(GeneratorSequence.cycle([2, 3], 6), np.random.default_rng(5))
+    assert _suite_under_blas_threads(6, 5, 8) == a
+
+
 def _vanishing_by_digit_loop(n, s, t, gen):
     """(count, deviation) by expanding every depth-(n+1) cell's digits."""
     kern = fejer_kernel(s * gen.scale[n], gen).values
@@ -255,22 +301,6 @@ def test_kernel_digit_expansion_matches_single_kernel_loop(gen):
     for n in range(1, gen.size):
         expected = _digit_expansion_by_single_kernels(n, gen)
         assert check_kernel_digit_expansion(n, gen).value == expected, n
-
-
-@pytest.mark.parametrize("workers", [2, 3, 4, 7])
-def test_suite_reports_equal_for_any_worker_count(workers):
-    # cycle:2,3 to depth 5 schedules 109 checks: no worker count here divides it.
-    gen = GeneratorSequence.cycle([2, 3], 5)
-    one = run_suite(gen, np.random.default_rng(9), max_workers=1)
-    assert len(one) % workers != 0
-    assert run_suite(gen, np.random.default_rng(9), max_workers=workers) == one
-
-
-def test_suite_thread_count_invariant():
-    gen = GeneratorSequence.cycle([2, 3], 6)
-    a = run_suite(gen, np.random.default_rng(5), max_workers=1)
-    b = run_suite(gen, np.random.default_rng(5), max_workers=8)
-    assert a == b
 
 
 def test_deviation_scales_with_grid_not_n():
