@@ -27,12 +27,10 @@ from .hardy import (
     Atom,
     AtomicDecomposition,
     CounterexampleMartingale,
-    FiniteMartingale,
     assemble_martingale,
     conditional_expectation,
     counterexample_martingale,
     function_hardy_quasinorm,
-    hardy_quasinorm,
     is_p_atom,
     maximal_function,
     select_alphas,
@@ -54,6 +52,7 @@ from .transform import (
     lebesgue_constant,
     naive_forward_transform,
     partial_sum,
+    partial_sum_rows,
     rademacher,
     synthesize,
     synthesize_rows,

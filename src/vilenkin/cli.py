@@ -204,6 +204,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad alphas spec {spec!r}") from exc
         if ranks != sorted(set(ranks)) or ranks[-1] >= gen.depth:
             raise ConfigError(f"alphas must be increasing ranks below {gen.depth}")
+        if ranks[0] < 1:
+            raise ConfigError(f"alpha rank {ranks[0]} must be >= 1 (log M_0 = 0)")
         return ranks
 
 
@@ -354,11 +356,7 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
     phi = cfg.build_phi()
     alphas = cfg.build_alphas(gen, phi)
-    try:
-        ce = hardy.counterexample_martingale(phi, alphas, gen)
-    except ValueError as exc:
-        print(f"counterexample: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    ce = hardy.counterexample_martingale(phi, alphas, gen)
     nmax = 2 * gen.scale[alphas[-1]]
     profile = hardy.sigma_norm_profile(ce.function, nmax)
     cumulative = np.cumsum(profile)

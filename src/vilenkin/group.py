@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,11 +87,6 @@ class GeneratorSequence:
             raise ValueError("cycle pattern must be nonempty")
         it = itertools.cycle(pattern)
         return cls(tuple(next(it) for _ in range(depth)))
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        """Iterate all depth-N points in index order."""
-        for i in range(self.size):
-            yield index_point(self, i)
 
 
 @dataclass(frozen=True)

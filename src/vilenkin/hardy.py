@@ -1,8 +1,10 @@
 """Martingales on the cylinder filtration and Hardy-space machinery.
 
 The depth-n conditional expectation averages a step function over depth-n
-cylinders; the resulting sequence of averages is a finite martingale whose
-maximal function defines the H_p quasi-norm.  This module also provides
+cylinders.  On this filtration a martingale is its top level f: level n is
+always E_n f = conditional_expectation(f, n), so a martingale is stored as
+one GridFunction and its levels are never kept.  The maximal function
+sup_n |E_n f| defines the H_p quasi-norm.  This module also provides
 p-atoms, atomic assembly, the weighted strong-convergence sums of Fejer
 means and partial sums, and the explicit atomic martingale whose Fejer
 means make the unweighted strong sum diverge.
@@ -26,18 +28,17 @@ from .transform import (
     fejer_mean_rows,
     forward_transform,
     partial_sum,
+    partial_sum_rows,
     rademacher,
     synthesize_rows,
     vilenkin_fn,
 )
 
 __all__ = [
-    "FiniteMartingale",
     "Atom",
     "AtomicDecomposition",
     "conditional_expectation",
     "maximal_function",
-    "hardy_quasinorm",
     "function_hardy_quasinorm",
     "is_p_atom",
     "assemble_martingale",
@@ -70,7 +71,7 @@ def _maximal_abs(values: np.ndarray, gen: GeneratorSequence) -> np.ndarray:
 
     Built in place over the same reshape-means as ``_cell_average``, so it
     equals the maximal function of the conditional-expectation martingale
-    without materializing its N + 1 levels.
+    without materializing its levels.
     """
     lead = values.shape[:-1]
     star = np.abs(values)  # the rank-N average is the function itself
@@ -89,59 +90,14 @@ def conditional_expectation(f: GridFunction, n: int) -> GridFunction:
     return GridFunction(f.gen, _cell_average(f.values, f.gen, n))
 
 
-@dataclass(frozen=True)
-class FiniteMartingale:
-    """Levels f_0, ..., f_N adapted to the cylinder filtration.
-
-    Each level is stored on the full depth-N grid but must be constant on
-    depth-n cylinders.
-    """
-
-    gen: GeneratorSequence
-    levels: tuple[GridFunction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.levels) != self.gen.depth + 1:
-            raise ValueError("need one level per rank 0..N")
-        for f in self.levels:
-            if f.gen != self.gen:
-                raise ValueError("levels must share the generator sequence")
-
-    @classmethod
-    def from_function(cls, f: GridFunction) -> "FiniteMartingale":
-        levels = tuple(
-            conditional_expectation(f, n) for n in range(f.gen.depth + 1)
-        )
-        return cls(f.gen, levels)
-
-    def validate(self, tol: float = 1e-9) -> float:
-        """Max violation of adaptedness and the martingale property."""
-        worst = 0.0
-        for n, f in enumerate(self.levels):
-            worst = max(worst, float(np.max(np.abs(
-                f.values - _cell_average(f.values, self.gen, n)))))
-        for n in range(self.gen.depth):
-            proj = _cell_average(self.levels[n + 1].values, self.gen, n)
-            worst = max(worst, float(np.max(np.abs(proj - self.levels[n].values))))
-        if worst > tol:
-            raise ValueError(f"martingale property violated by {worst:.3g}")
-        return worst
-
-
-def maximal_function(f: FiniteMartingale) -> GridFunction:
-    """f* = max_n |f_n| pointwise."""
-    stacked = np.abs(np.stack([lev.values for lev in f.levels]))
-    return GridFunction(f.gen, stacked.max(axis=0))
-
-
-def hardy_quasinorm(f: FiniteMartingale, p: float) -> float:
-    """||f||_{H_p} = ||f*||_p."""
-    return lp_quasinorm(maximal_function(f), p)
+def maximal_function(f: GridFunction) -> GridFunction:
+    """f* = max_n |E_n f| pointwise over ranks 0..N."""
+    return GridFunction(f.gen, _maximal_abs(f.values, f.gen))
 
 
 def function_hardy_quasinorm(f: GridFunction, p: float) -> float:
-    """H_p quasi-norm of the martingale of conditional expectations of f."""
-    return lp_quasinorm(GridFunction(f.gen, _maximal_abs(f.values, f.gen)), p)
+    """||f||_{H_p} = ||f*||_p for the martingale of conditional expectations of f."""
+    return lp_quasinorm(maximal_function(f), p)
 
 
 @dataclass(frozen=True)
@@ -189,20 +145,22 @@ class AtomicDecomposition:
             raise ValueError("one coefficient per atom")
 
     def coefficient_quasinorm(self, p: float) -> float:
+        if not 0 < p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {p}")
         return float(sum(abs(c) ** p for c in self.coefficients) ** (1.0 / p))
 
 
 def assemble_martingale(
     dec: AtomicDecomposition, gen: GeneratorSequence
-) -> FiniteMartingale:
-    """Level n = sum_k mu_k S_{M_n} a_k (= conditional expectation at rank n)."""
+) -> GridFunction:
+    """The top level sum_k mu_k a_k; its level n is sum_k mu_k S_{M_n} a_k."""
     for atom in dec.atoms:
         if atom.values.gen != gen:
             raise ValueError("atoms must live on the target grid")
     total = np.zeros(gen.size, dtype=np.complex128)
     for c, atom in zip(dec.coefficients, dec.atoms):
         total += c * atom.values.values
-    return FiniteMartingale.from_function(GridFunction(gen, total))
+    return GridFunction(gen, total)
 
 
 # --- the divergence construction ---------------------------------------------
@@ -213,19 +171,22 @@ class CounterexampleMartingale:
     """Atomic martingale built from frequency blocks [M_a, 2 M_a).
 
     Atom k is M_a * r_a * D_{M_a} at rank a = alphas[k], scaled by
-    lambda_k = phi(2 M_a) / log M_a; the top level is the plain function
-    carrying the full spectrum.
+    lambda_k = phi(2 M_a) / log M_a; ``function`` is the top level
+    sum_k lambda_k a_k, which carries the full spectrum.
     """
 
     gen: GeneratorSequence
     alphas: tuple[int, ...]
     lambdas: tuple[float, ...]
-    atoms: tuple[Atom, ...]
-    martingale: FiniteMartingale
+    function: GridFunction
 
-    @property
-    def function(self) -> GridFunction:
-        return self.martingale.levels[-1]
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms a_k, built on demand (each is a full grid)."""
+        base = (0,) * self.gen.depth
+        return tuple(
+            Atom(GridFunction(self.gen, _block_atom(a, self.gen)), a, base, 0.5)
+            for a in self.alphas
+        )
 
     def closed_form_coefficients(self) -> np.ndarray:
         """Spectral profile: M_a * lambda_k on [M_a, 2 M_a), zero elsewhere."""
@@ -243,6 +204,12 @@ class CounterexampleMartingale:
         return -1
 
 
+def _block_atom(a: int, gen: GeneratorSequence) -> np.ndarray:
+    """Cell values of M_a * r_a * D_{M_a}."""
+    Ma = gen.scale[a]
+    return Ma * rademacher(a, gen).values * dirichlet(Ma, gen).values
+
+
 def counterexample_martingale(
     phi: Callable[[int], float],
     alphas: Sequence[int],
@@ -255,23 +222,20 @@ def counterexample_martingale(
     if not alphas:
         raise ValueError("need at least one rank")
     if alphas[0] < 1:
-        raise ValueError("ranks must be >= 1 (rank 0 has log M_0 = 0)")
-    if 2 * gen.scale[alphas[-1]] > gen.size:
+        raise ValueError(f"rank {alphas[0]} must be >= 1 (rank 0 has log M_0 = 0)")
+    if alphas[-1] >= gen.depth:  # below the depth, 2 M_a <= M_{a+1} <= M_N
         raise ValueError(
-            f"depth {gen.depth} too small: need 2*M_{alphas[-1]} <= M_N"
+            f"rank {alphas[-1]} needs 2*M_{alphas[-1]} <= M_N, so a depth"
+            f" above {alphas[-1]}; got depth {gen.depth}"
         )
     lambdas = []
-    atoms = []
     total = np.zeros(gen.size, dtype=np.complex128)
     for a in alphas:
         Ma = gen.scale[a]
         lam = float(phi(2 * Ma)) / math.log(Ma)
         lambdas.append(lam)
-        vals = Ma * rademacher(a, gen).values * dirichlet(Ma, gen).values
-        atoms.append(Atom(GridFunction(gen, vals), a, (0,) * gen.depth, 0.5))
-        total += lam * vals
-    mart = FiniteMartingale.from_function(GridFunction(gen, total))
-    return CounterexampleMartingale(gen, alphas, tuple(lambdas), tuple(atoms), mart)
+        total += lam * _block_atom(a, gen)
+    return CounterexampleMartingale(gen, alphas, tuple(lambdas), GridFunction(gen, total))
 
 
 def select_alphas(
@@ -378,8 +342,7 @@ def _partial_sum_rows(
 
     def reduce_chunk(qs: np.ndarray) -> None:
         # A call per chunk frees its bases and blocks before the next chunk.
-        kept = np.arange(gen.size) < qs[:, None] * L
-        bases = synthesize_rows(np.where(kept, coeffs, 0), gen).reshape(-1, H, L)
+        bases = partial_sum_rows(coeffs, qs * L, gen).reshape(-1, H, L)
         shifts = synthesize_rows(np.where(below, coeff_blocks[qs, None, :], 0), low)
         rows = np.empty((j_step, H, L), dtype=np.complex128)
         for base, q, shift in zip(bases, qs, shifts):

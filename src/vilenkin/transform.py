@@ -13,6 +13,7 @@ run sizes) instead of O(M_N^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -36,6 +37,7 @@ __all__ = [
     "fejer_kernel",
     "fejer_kernel_rows",
     "fejer_mean_rows",
+    "partial_sum_rows",
     "partial_sum",
     "fejer_mean",
     "lebesgue_constant",
@@ -165,9 +167,18 @@ def vilenkin_fn(n: int, gen: GeneratorSequence) -> GridFunction:
     return GridFunction(gen, np.exp(2j * np.pi * phase))
 
 
-def _dirichlet_masks(ns: np.ndarray, size: int) -> np.ndarray:
-    """Coefficient rows of D_n for each n in ``ns``: 1 below n, 0 from n on."""
-    return (np.arange(size) < ns[:, None]).astype(np.float64)
+def _truncated(coeffs: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """The S_n multiplier: for each n in ``ns`` a row of coeffs below n and
+    +0 from n on.  Copying into zeros, not multiplying by 0, keeps -0.0 out."""
+    rows = np.zeros((ns.size, len(coeffs)), dtype=np.complex128)
+    for row, n in zip(rows, ns.tolist()):
+        row[:n] = coeffs[:n]
+    return rows
+
+
+def _dirichlet_coeffs(ns: np.ndarray, size: int) -> np.ndarray:
+    """Coefficient rows of D_n, the partial sums of the all-ones spectrum."""
+    return _truncated(np.ones(size), ns)
 
 
 def _fejer_weights(ns: np.ndarray, size: int) -> np.ndarray:
@@ -181,12 +192,12 @@ def _fejer_weights(ns: np.ndarray, size: int) -> np.ndarray:
     return weights
 
 
-def _orders(ns: Iterable[int], gen: GeneratorSequence) -> np.ndarray:
-    """Kernel orders as an integer array, each checked to lie in [1, M_N]."""
+def _orders(ns: Iterable[int], gen: GeneratorSequence, low: int = 1) -> np.ndarray:
+    """Orders as an integer array, each checked to lie in [low, M_N]."""
     ns = np.fromiter(ns, dtype=np.int64)
-    bad = ns[(ns < 1) | (ns > gen.size)]
+    bad = ns[(ns < low) | (ns > gen.size)]
     if bad.size:
-        raise ValueError(f"n={bad[0]} out of range [1, {gen.size}]")
+        raise ValueError(f"n={bad[0]} out of range [{low}, {gen.size}]")
     return ns
 
 
@@ -231,8 +242,8 @@ def dirichlet(n: int, gen: GeneratorSequence) -> GridFunction:
     """D_n = sum_{k < n} psi_k, materialized on the depth-N grid."""
     if not 1 <= n <= gen.size:
         raise ValueError(f"n={n} out of range [1, {gen.size}]")
-    mask = _dirichlet_masks(np.array([n]), gen.size)[0]
-    return GridFunction(gen, synthesize_rows(mask, gen))
+    coeffs = _dirichlet_coeffs(np.array([n]), gen.size)[0]
+    return GridFunction(gen, synthesize_rows(coeffs, gen))
 
 
 def dirichlet_rows(
@@ -243,7 +254,7 @@ def dirichlet_rows(
     A block holds at most _ROW_BLOCK_BYTES of rows (or a single row), and
     row i of a block is bit-identical to ``dirichlet(orders[i], gen).values``.
     """
-    return _kernel_blocks(_orders(ns, gen), gen, _dirichlet_masks, False)
+    return _kernel_blocks(_orders(ns, gen), gen, _dirichlet_coeffs, False)
 
 
 def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
@@ -274,13 +285,21 @@ def fejer_mean_rows(
     return synthesize_rows(_fejer_weights(_orders(ks, gen), gen.size) * coeffs, gen)
 
 
+def partial_sum_rows(
+    coeffs: np.ndarray, ns: Iterable[int], gen: GeneratorSequence
+) -> np.ndarray:
+    """S_n f for every n in ``ns`` (0 <= n <= M_N), one row each, from f's
+    coefficients."""
+    return synthesize_rows(_truncated(coeffs, _orders(ns, gen, low=0)), gen)
+
+
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
     """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f = 0."""
-    if not 0 <= n <= f.gen.size:
-        raise ValueError(f"n={n} out of range [0, {f.gen.size}]")
-    coeffs = forward_transform(f).coeffs.copy()
-    coeffs[n:] = 0.0
-    return inverse_transform(SpectralVector(f.gen, coeffs))
+    # The one-row case of partial_sum_rows, spelled out so that f's
+    # coefficients are freed before the synthesis: one grid less at peak.
+    ns = _orders([operator.index(n)], f.gen, low=0)
+    rows = _truncated(forward_transform(f).coeffs, ns)
+    return GridFunction(f.gen, synthesize_rows(rows, f.gen)[0])
 
 
 def fejer_mean(f: GridFunction, n: int) -> GridFunction:

@@ -185,7 +185,7 @@ def test_criterion_3_transform():
 def test_criterion_4_counterexample_mechanics():
     gen = GeneratorSequence.walsh(9)
     ce = counterexample_martingale(ONE, [4, 6, 8], gen)
-    for atom in ce.atoms:
+    for atom in ce.atoms():
         ok, checks = is_p_atom(atom.values, atom.rank, atom.base, 0.5)
         assert ok, checks
     coeff_dev = float(

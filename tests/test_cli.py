@@ -328,11 +328,14 @@ def test_counterexample_single_alpha_skips_fit(tmp_path):
     assert "fit=skipped" in (out / "summary.txt").read_text()
 
 
-def test_counterexample_rank_zero_fails(tmp_path):
-    # rank 0 passes flag validation but the construction itself rejects it
+@pytest.mark.parametrize("alphas,rank", [("0,2", "0"), ("-1,3", "-1")])
+def test_counterexample_rank_zero_fails(tmp_path, capsys, alphas, rank):
+    # log M_0 = 0, so ranks below 1 are refused as a config error
     assert main(["counterexample", "--generator", "constant:2", "--depth", "4",
-                 "--phi", "const:1", "--alphas", "0,2",
-                 "--out", str(tmp_path)]) == 1
+                 "--phi", "const:1", f"--alphas={alphas}",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"rank {rank} " in err, err
 
 
 def test_counterexample_greedy_infeasible_is_config_error(tmp_path):

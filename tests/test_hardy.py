@@ -7,7 +7,6 @@ import pytest
 from vilenkin import (
     Atom,
     AtomicDecomposition,
-    FiniteMartingale,
     GeneratorSequence,
     GridFunction,
     assemble_martingale,
@@ -18,7 +17,6 @@ from vilenkin import (
     fejer_mean,
     forward_transform,
     function_hardy_quasinorm,
-    hardy_quasinorm,
     integrate,
     is_p_atom,
     lp_quasinorm,
@@ -74,34 +72,40 @@ def test_conditional_expectation_rejects_deep_rank(gen):
 # --- martingales and Hardy quasi-norms --------------------------------------
 
 
-def test_martingale_from_function_validates(gen, rng):
-    mart = FiniteMartingale.from_function(random_function(gen, rng))
-    assert mart.validate() < 1e-12
+def test_conditional_expectations_form_a_martingale(gen, rng):
+    # the levels E_n f are adapted and satisfy the tower property
+    f = random_function(gen, rng)
+    for n in range(gen.depth + 1):
+        level = conditional_expectation(f, n).values
+        cells = level.reshape(gen.size // gen.scale[n], gen.scale[n])
+        assert np.max(np.abs(cells - cells[0])) < 1e-12
+        if n < gen.depth:
+            finer = conditional_expectation(f, n + 1)
+            tower = conditional_expectation(finer, n).values
+            assert np.max(np.abs(tower - level)) < 1e-12
 
 
 def test_maximal_function_character():
-    mart = FiniteMartingale.from_function(vilenkin_fn(1, WALSH))
-    star = maximal_function(mart)
-    assert np.allclose(star.values, 1.0)
+    f = vilenkin_fn(1, WALSH)
+    assert np.allclose(maximal_function(f).values, 1.0)
     for p in (0.5, 1.0, 2.0):
-        assert hardy_quasinorm(mart, p) == pytest.approx(1.0)
+        assert function_hardy_quasinorm(f, p) == pytest.approx(1.0)
 
 
 def test_constant_martingale_norm(gen):
-    mart = FiniteMartingale.from_function(GridFunction.constant(gen, -2.0))
-    assert hardy_quasinorm(mart, 0.5) == pytest.approx(2.0)
+    f = GridFunction.constant(gen, -2.0)
+    assert function_hardy_quasinorm(f, 0.5) == pytest.approx(2.0)
 
 
 def test_maximal_dominates_last_level(gen, rng):
     f = random_function(gen, rng)
-    mart = FiniteMartingale.from_function(f)
-    assert np.all(maximal_function(mart).values >= np.abs(f.values) - 1e-12)
+    assert np.all(maximal_function(f).values >= np.abs(f.values) - 1e-12)
 
 
 def test_maximal_matches_cylinder_average_form(gen, rng):
-    # for generated martingales f* is the sup of |cylinder averages of f|
+    # f* is the sup of |cylinder averages of f|
     f = random_function(gen, rng)
-    star = maximal_function(FiniteMartingale.from_function(f)).values
+    star = maximal_function(f).values
     ref = np.zeros(gen.size)
     for n in range(gen.depth + 1):
         ref = np.maximum(ref, np.abs(conditional_expectation(f, n).values))
@@ -140,21 +144,21 @@ def test_assemble_single_atom():
     g = GeneratorSequence.walsh(4)
     vals = GridFunction(g, 4.0 * (dirichlet(8, g).values - dirichlet(4, g).values))
     dec = AtomicDecomposition((1.0,), (Atom(vals, 2, (0,) * 4, 0.5),))
-    mart = assemble_martingale(dec, g)
-    mart.validate()
+    top = assemble_martingale(dec, g)
+    levels = [conditional_expectation(top, n).values for n in range(5)]
     for n in range(5):
         expected = partial_sum(vals, g.scale[n]).values
-        assert np.max(np.abs(mart.levels[n].values - expected)) < 1e-10
+        assert np.max(np.abs(levels[n] - expected)) < 1e-10
     # the atom enters only above its supporting rank
-    assert np.max(np.abs(mart.levels[2].values)) < 1e-10
-    assert np.max(np.abs(mart.levels[3].values - vals.values)) < 1e-10
+    assert np.max(np.abs(levels[2])) < 1e-10
+    assert np.max(np.abs(levels[3] - vals.values)) < 1e-10
 
 
 def test_assemble_empty_decomposition():
     dec = AtomicDecomposition((), ())
-    mart = assemble_martingale(dec, WALSH)
-    for lev in mart.levels:
-        assert np.allclose(lev.values, 0.0)
+    top = assemble_martingale(dec, WALSH)
+    for n in range(WALSH.depth + 1):
+        assert np.allclose(conditional_expectation(top, n).values, 0.0)
 
 
 def test_assembled_norm_against_coefficients(rng):
@@ -172,9 +176,16 @@ def test_assembled_norm_against_coefficients(rng):
         atoms.append(Atom(vals, alpha, (0,) * 6, 0.5))
         coefs.append(c)
     dec = AtomicDecomposition(tuple(coefs), tuple(atoms))
-    mart = assemble_martingale(dec, g)
-    ratio = hardy_quasinorm(mart, 0.5) / dec.coefficient_quasinorm(0.5)
+    top = assemble_martingale(dec, g)
+    ratio = function_hardy_quasinorm(top, 0.5) / dec.coefficient_quasinorm(0.5)
     assert ratio < 4.0
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
+def test_coefficient_quasinorm_refuses_bad_exponent(p):
+    dec = AtomicDecomposition((), ())
+    with pytest.raises(ValueError, match=f"got {p}"):
+        dec.coefficient_quasinorm(p)
 
 
 # --- the counterexample construction ----------------------------------------
@@ -193,10 +204,34 @@ def test_counterexample_walsh_single_block():
 
 def test_counterexample_atoms_and_martingale():
     ce = counterexample_martingale(ONE, [2, 4, 6], GeneratorSequence.walsh(8))
-    ce.martingale.validate()
-    for atom in ce.atoms:
+    atoms = ce.atoms()
+    assert [atom.rank for atom in atoms] == [2, 4, 6]
+    for atom in atoms:
         ok, checks = is_p_atom(atom.values, atom.rank, atom.base, 0.5)
         assert ok, checks
+    # the function is the top level sum_k lambda_k a_k, to the bit
+    top = np.zeros(ce.gen.size, dtype=complex)
+    for lam, atom in zip(ce.lambdas, atoms):
+        top += lam * atom.values.values
+    assert top.tobytes() == ce.function.values.tobytes()
+
+
+def test_counterexample_keeps_only_its_top_level():
+    g = GeneratorSequence.walsh(16)
+    ranks = [4, 6, 8, 10, 12, 14, 15]
+    grid = 16 * g.size
+    # a first call fills group's memoised digit arrays, which every later
+    # Rademacher function of this grid shares; only the second call counts
+    counterexample_martingale(ONE, ranks, g)
+    tracemalloc.start()
+    try:
+        ce = counterexample_martingale(ONE, ranks, g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ce.alphas == tuple(ranks)
+    assert peak <= 6 * grid
+    assert kept <= 2 * grid
 
 
 def test_counterexample_closed_form_coefficients():
@@ -231,6 +266,12 @@ def test_counterexample_coefficient_sum_summable():
 def test_counterexample_depth_guard():
     with pytest.raises(ValueError):
         counterexample_martingale(ONE, [3], WALSH)
+
+
+@pytest.mark.parametrize("ranks,named", [([5], "rank 5"), ([2, 4], "rank 4"), ([0, 2], "rank 0")])
+def test_counterexample_refuses_rank_outside_grid(ranks, named):
+    with pytest.raises(ValueError, match=named):
+        counterexample_martingale(ONE, ranks, GeneratorSequence.walsh(4))
 
 
 def test_counterexample_rejects_unsorted():

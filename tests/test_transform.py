@@ -32,6 +32,7 @@ from vilenkin.transform import (
     dirichlet_rows,
     fejer_kernel_rows,
     fejer_mean_rows,
+    partial_sum_rows,
     synthesize_rows,
 )
 
@@ -283,6 +284,30 @@ def test_fejer_mean_rows_byte_equal_to_fejer_mean():
     rows = fejer_mean_rows(coeffs, ks, g)
     for k in ks:
         assert rows[k - 1].tobytes() == fejer_mean(f, int(k)).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [GeneratorSequence.walsh(5), GeneratorSequence.cycle([2, 3, 4], 3), GeneratorSequence((2, 67))],
+    ids=["walsh5", "cycle234x3", "2,67"],
+)
+def test_partial_sum_rows_byte_equal_to_truncated_spectrum(g):
+    # Multiplying the dropped coefficients by 0 would give -0.0 wherever a
+    # part is negative; for this real f the all-zero row S_0 f on 2,67 would
+    # then change the signs of some of its zeros.
+    f = GridFunction(g, np.random.default_rng(1).standard_normal(g.size))
+    coeffs = forward_transform(f).coeffs
+    ns = np.arange(g.size + 1)
+    rows = partial_sum_rows(coeffs, ns, g)
+    for n in ns:
+        kept = coeffs.copy()
+        kept[n:] = 0.0
+        oracle = inverse_transform(SpectralVector(g, kept)).values
+        assert rows[n].tobytes() == oracle.tobytes()
+        assert partial_sum(f, int(n)).values.tobytes() == oracle.tobytes()
+    for bad in ([-1], [2, g.size + 1]):
+        with pytest.raises(ValueError, match=f"n={bad[-1]} out of range"):
+            partial_sum_rows(coeffs, bad, g)
 
 
 @pytest.mark.parametrize("hardy", [False, True], ids=["plain", "hardy"])
