@@ -88,7 +88,16 @@ def parse_phi(spec: str) -> Callable[[int], float]:
             theta = float(spec.split(":", 1)[1])
             if not 0 <= theta < math.inf:
                 raise ConfigError(f"bad phi spec {spec!r}: logpow exponent must be finite and >= 0")
-            return lambda n, t=theta: max(1.0, math.log(max(n, 1)) ** t)
+
+            def logpow(n: int) -> float:
+                try:
+                    return max(1.0, math.log(max(n, 1)) ** theta)
+                except OverflowError:
+                    raise ConfigError(
+                        f"bad phi spec {spec!r}: log(n)**{theta} overflows at n={n}"
+                    ) from None
+
+            return logpow
         if spec == "loglog":
             return lambda n: max(1.0, math.log(max(1.0, math.log(max(n, 2)))))
         if spec.startswith("table:"):

@@ -69,17 +69,24 @@ def _cell_average(values: np.ndarray, gen: GeneratorSequence, n: int) -> np.ndar
 def _maximal_abs(values: np.ndarray, gen: GeneratorSequence) -> np.ndarray:
     """max_n |depth-n cylinder average| over ranks 0..N, per trailing-axis row.
 
-    Built in place over the same reshape-means as ``_cell_average``, so it
-    equals the maximal function of the conditional-expectation martingale
-    without materializing its levels.
+    One coarse-to-fine pass in O(M_N) per row.  The rank-n averages form a
+    vector of length M_n (cell i lies in the cylinder of i mod M_n), and each
+    is the mean of the next finer rank's averages over the m_n cylinder
+    mates.  The maximum then grows upward from rank 0, one digit at a time:
+    star_{n+1} = max(|rank-(n+1) averages|, star_n broadcast over the mates).
+    This is the maximal function of the conditional-expectation martingale,
+    built without materializing its levels on the full grid.
     """
     lead = values.shape[:-1]
-    star = np.abs(values)  # the rank-N average is the function itself
+    means = [values]  # the rank-N average is the function itself
+    for n in reversed(range(gen.depth)):
+        means.append(means[-1].reshape(lead + (gen.m[n], gen.scale[n])).mean(axis=-2))
+    star = np.abs(means.pop())
     for n in range(gen.depth):
-        shape = lead + (gen.size // gen.scale[n], gen.scale[n])
-        view = star.reshape(shape)
-        mean = values.reshape(shape).mean(axis=-2, keepdims=True)
-        np.maximum(view, np.abs(mean), out=view)
+        finer = np.abs(means.pop())
+        view = finer.reshape(lead + (gen.m[n], gen.scale[n]))
+        np.maximum(view, star[..., None, :], out=view)
+        star = finer
     return star
 
 
@@ -271,8 +278,11 @@ def select_alphas(
 # --- strong convergence sums -------------------------------------------------
 
 
-# Fejer means synthesized per batch by sigma_norm_profile.
+# Fejer means sigma_norm_profile synthesizes per batch: at most
+# _PROFILE_CHUNK rows and at most _PROFILE_BYTES of complex rows, with at
+# least one row.  The byte cap binds above M_N = 4096.
 _PROFILE_CHUNK = 128
+_PROFILE_BYTES = 1 << 23
 
 
 def sigma_norm_profile(
@@ -287,10 +297,14 @@ def sigma_norm_profile(
     gen = f.gen
     if not 1 <= nmax <= gen.size:
         raise ValueError(f"nmax={nmax} out of range [1, {gen.size}]")
+    if nmax != int(nmax):
+        raise ValueError(f"nmax={nmax} is not an integer")
+    nmax = int(nmax)
     coeffs = forward_transform(f).coeffs
     out = np.empty(nmax)
-    for start in range(1, nmax + 1, _PROFILE_CHUNK):
-        ks = np.arange(start, min(start + _PROFILE_CHUNK, nmax + 1))
+    step = max(1, min(_PROFILE_CHUNK, _PROFILE_BYTES // (16 * gen.size)))
+    for start in range(1, nmax + 1, step):
+        ks = np.arange(start, min(start + step, nmax + 1))
         block = fejer_mean_rows(coeffs, ks, gen)
         star = _maximal_abs(block, gen) if hardy else np.abs(block)
         out[ks - 1] = np.mean(np.sqrt(star), axis=-1)

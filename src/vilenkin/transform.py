@@ -4,7 +4,7 @@ The characters psi_n are products of generalized Rademacher functions
 r_k(x) = exp(2*pi*i*x_k/m_k) raised to the digits of n.  Because both points
 and frequencies are indexed by the same mixed-radix system, analysis and
 synthesis factor into one dense size-m_k character transform per digit axis.
-Consecutive digits are fused into runs of at most 64 cells (a larger radix
+Consecutive digits are fused into runs of at most 32 cells (a larger radix
 runs alone), and each run is applied as one Kronecker-product matrix
 (Fino-Algazi), so a pass is one matmul per run and costs O(M_N * sum of the
 run sizes) instead of O(M_N^2).
@@ -13,7 +13,6 @@ run sizes) instead of O(M_N^2).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -64,7 +63,20 @@ class SpectralVector:
 # Largest cell count of a run of digits fused into one matrix.  A run of G
 # cells costs G multiply-adds per cell, so longer runs trade more arithmetic
 # for fewer, larger BLAS calls; a single radix above the cap runs alone.
-_BLOCK_CELLS = 64
+# Median ms of one synthesis pass at caps 16 / 32 / 64, interleaved, one
+# BLAS thread, 2-core Xeon, numpy 2.4:
+#   Walsh(9), 128 rows        2.38 /  2.23 /  2.58
+#   Walsh(12), 128 rows       15.8 /  16.8 /  20.7
+#   Walsh(13), one row        0.18 /  0.17 /  0.24
+#   Walsh(22), one row         283 /   271 /   285   (11 runs each)
+#   cycle:2,3,4 depth 12      12.1 /   9.1 /   9.6
+#   2,2,2,2,3,5, 5 rows      0.021 / 0.020 / 0.038
+#   3^13, one row               79 /    82 /    82   (same runs at every cap)
+#   Walsh(6), 16 rows        0.027 / 0.037 / 0.032   (one 64-cell run -> 32 + 2)
+# At 64, Walsh(9) leaves a second run of 8 cells: 72 multiply-adds per cell
+# where runs of 32 and 16 cost 48.  16 loses on cycle:2,3,4, where it splits
+# the 24-cell runs 2*3*4 into runs of 6 to 12 cells.
+_BLOCK_CELLS = 32
 
 
 @lru_cache(maxsize=None)
@@ -193,8 +205,13 @@ def _fejer_weights(ns: np.ndarray, size: int) -> np.ndarray:
 
 
 def _orders(ns: Iterable[int], gen: GeneratorSequence, low: int = 1) -> np.ndarray:
-    """Orders as an integer array, each checked to lie in [low, M_N]."""
-    ns = np.fromiter(ns, dtype=np.int64)
+    """Orders as an integer array, each checked to be an integer in [low, M_N]."""
+    ns = np.asarray(ns if isinstance(ns, np.ndarray) else list(ns))
+    if ns.dtype.kind == "f":
+        frac = ns[~np.isfinite(ns) | (ns != np.round(ns))]
+        if frac.size:
+            raise ValueError(f"n={frac[0]} is not an integer")
+    ns = ns.astype(np.int64, copy=False)
     bad = ns[(ns < low) | (ns > gen.size)]
     if bad.size:
         raise ValueError(f"n={bad[0]} out of range [{low}, {gen.size}]")
@@ -240,9 +257,7 @@ def _kernel_blocks(
 
 def dirichlet(n: int, gen: GeneratorSequence) -> GridFunction:
     """D_n = sum_{k < n} psi_k, materialized on the depth-N grid."""
-    if not 1 <= n <= gen.size:
-        raise ValueError(f"n={n} out of range [1, {gen.size}]")
-    coeffs = _dirichlet_coeffs(np.array([n]), gen.size)[0]
+    coeffs = _dirichlet_coeffs(_orders([n], gen), gen.size)[0]
     return GridFunction(gen, synthesize_rows(coeffs, gen))
 
 
@@ -263,11 +278,10 @@ def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
     Swapping the two sums gives the multiplier form
     n * K_n = sum_{j <= n-2} (n - 1 - j) * psi_j, used here for speed.
     """
-    if not 1 <= n <= gen.size:
-        raise ValueError(f"n={n} out of range [1, {gen.size}]")
-    if n == 1:
+    ns = _orders([n], gen)
+    if ns[0] == 1:
         return GridFunction.constant(gen, 0.0)
-    weights = _fejer_weights(np.array([n]), gen.size)[0]
+    weights = _fejer_weights(ns, gen.size)[0]
     return GridFunction(gen, synthesize_rows(weights, gen))
 
 
@@ -297,7 +311,7 @@ def partial_sum(f: GridFunction, n: int) -> GridFunction:
     """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f = 0."""
     # The one-row case of partial_sum_rows, spelled out so that f's
     # coefficients are freed before the synthesis: one grid less at peak.
-    ns = _orders([operator.index(n)], f.gen, low=0)
+    ns = _orders([n], f.gen, low=0)
     rows = _truncated(forward_transform(f).coeffs, ns)
     return GridFunction(f.gen, synthesize_rows(rows, f.gen)[0])
 
@@ -308,10 +322,9 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     Coefficient j < n - 1 appears in S_k f for j < k <= n - 1, i.e. with
     total weight (n - 1 - j)/n; coefficients at or above n - 1 drop out.
     """
-    if not 1 <= n <= f.gen.size:
-        raise ValueError(f"n={n} out of range [1, {f.gen.size}]")
+    ns = _orders([n], f.gen)
     coeffs = forward_transform(f).coeffs
-    weights = _fejer_weights(np.array([n]), f.gen.size)[0]
+    weights = _fejer_weights(ns, f.gen.size)[0]
     return inverse_transform(SpectralVector(f.gen, coeffs * weights))
 
 

@@ -123,6 +123,12 @@ BAD_INPUTS = [
       "--phi", "const:nan", "--alphas", "2,4"], "'const:nan'"),
     (["counterexample", "--generator", "constant:2", "--depth", "8",
       "--phi", "const:inf", "--alphas", "2,4"], "'const:inf'"),
+    # log(8)**1000 overflows a float; the weight is first evaluated at
+    # n = 2 M_2 = 8 by the explicit ranks, and at n = 4, then 8, by greedy.
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--phi", "logpow:1000", "--alphas", "2,4"], "'logpow:1000': log(n)**1000.0 overflows at n=8"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--phi", "logpow:1000", "--alphas", "greedy:2"], "'logpow:1000': log(n)**1000.0 overflows at n=8"),
     (["counterexample", "--generator", "constant:2", "--depth", "8",
       "--alphas", "greedy:0"], "'greedy:0'"),
     (["counterexample", "--generator", "constant:2", "--depth", "8",

@@ -112,6 +112,58 @@ def test_maximal_matches_cylinder_average_form(gen, rng):
     assert np.max(np.abs(star - ref)) < 1e-12
 
 
+def _maximal_abs_per_rank(values, gen):
+    """The maximal function as one full reshape-mean and one full maximum per
+    rank, O(N * M_N) per row: the oracle for the coarse-to-fine pass."""
+    lead = values.shape[:-1]
+    star = np.abs(values)
+    for n in range(gen.depth):
+        shape = lead + (gen.size // gen.scale[n], gen.scale[n])
+        view = star.reshape(shape)
+        mean = values.reshape(shape).mean(axis=-2, keepdims=True)
+        np.maximum(view, np.abs(mean), out=view)
+    return star
+
+
+MAXIMAL_GENERATORS = [
+    GeneratorSequence.walsh(9),
+    GeneratorSequence.cycle([2, 3, 4], 7),
+    GeneratorSequence((2, 67, 2)),
+    GeneratorSequence((5,)),
+    GeneratorSequence(()),
+]
+MAXIMAL_IDS = ["x".join(map(str, g.m)) or "empty" for g in MAXIMAL_GENERATORS]
+
+
+def random_rows(g, batch, seed):
+    # A mean of about 2 per row makes the coarse averages the maximum on
+    # many cells; without it the finest ranks nearly always win.
+    rng = np.random.default_rng(seed)
+    shape = (batch, g.size)
+    offset = 2 * np.exp(2j * np.pi * rng.random((batch, 1)))
+    return offset + rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("g", MAXIMAL_GENERATORS, ids=MAXIMAL_IDS)
+@pytest.mark.parametrize("batch", [1, 3, 128])
+def test_maximal_abs_matches_per_rank_oracle(g, batch):
+    # The averages are summed in another order, so they may differ in the
+    # last bits; the function and its maxima are otherwise the same.
+    values = random_rows(g, batch, g.size + batch)
+    got = hardy._maximal_abs(values, g)
+    ref = _maximal_abs_per_rank(values, g)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 4e-15 * ref)
+
+
+@pytest.mark.parametrize("g", MAXIMAL_GENERATORS, ids=MAXIMAL_IDS)
+def test_maximal_abs_rows_identical_batched_or_alone(g):
+    values = random_rows(g, 128, g.size)
+    rows = hardy._maximal_abs(values, g)
+    for i in range(len(values)):
+        assert rows[i].tobytes() == hardy._maximal_abs(values[i], g).tobytes()
+
+
 # --- atoms -------------------------------------------------------------------
 
 
@@ -379,6 +431,53 @@ def test_strong_sums_refuse_bad_exponent(p):
         strong_sums(f, 4, p=p, mode="simon")
     with pytest.raises(ValueError, match=f"got {p}"):
         partial_sum_norm_profile(f, 4, p)
+
+
+def profile_blocks(monkeypatch):
+    """Record the number of rows of each Fejer block sigma_norm_profile asks for."""
+    sizes = []
+    rows = hardy.fejer_mean_rows
+
+    def spy(coeffs, ks, gen):
+        sizes.append(len(ks))
+        return rows(coeffs, ks, gen)
+
+    monkeypatch.setattr(hardy, "fejer_mean_rows", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("hardy_norm", [False, True], ids=["plain", "hardy"])
+def test_sigma_profile_blocks_capped_in_bytes_keep_bytes(monkeypatch, hardy_norm):
+    sizes = profile_blocks(monkeypatch)
+    g12 = GeneratorSequence.walsh(12)  # 8 MiB is 128 rows of 4096 cells
+    sigma_norm_profile(random_function(g12, np.random.default_rng(8)), 130, hardy_norm)
+    assert sizes == [128, 2]
+    g = GeneratorSequence.walsh(13)  # the byte cap binds: 64 rows a block
+    f = random_function(g, np.random.default_rng(9))
+    sizes.clear()
+    capped = sigma_norm_profile(f, 150, hardy_norm)
+    assert sizes == [64, 64, 22]
+    monkeypatch.setattr(hardy, "_PROFILE_BYTES", 1 << 40)
+    sizes.clear()
+    uncapped = sigma_norm_profile(f, 150, hardy_norm)
+    assert sizes == [128, 22]
+    assert capped.tobytes() == uncapped.tobytes()
+
+
+def test_hardy_profile_peak_allocation_bounded_by_byte_cap():
+    g = GeneratorSequence.walsh(15)  # 16 rows a block
+    f = random_function(g, np.random.default_rng(10))
+    sigma_norm_profile(f, 2, hardy=True)  # fills the run-matrix caches
+    tracemalloc.start()
+    try:
+        sigma_norm_profile(f, 40, hardy=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured 4.56 caps (numpy 2.4), the same as a plain profile, so the
+    # peak lies in the synthesis of a block.  128 rows a block, as before
+    # the byte cap, peaked at 24 caps.
+    assert peak <= 4.6 * hardy._PROFILE_BYTES
 
 
 # --- the partial-sum row engine ----------------------------------------------

@@ -28,7 +28,9 @@ from vilenkin import (
 )
 
 from vilenkin.transform import (
+    _BLOCK_CELLS,
     _axis_pass,
+    _digit_runs,
     dirichlet_rows,
     fejer_kernel_rows,
     fejer_mean_rows,
@@ -162,8 +164,9 @@ def test_convolution_theorem(gen, rng):
 
 # --- the blocked axis pass ----------------------------------------------------
 
-# Runs of digits fuse into matrices of at most 64 cells: several runs, runs of
-# mixed radices, a radix above the cap on its own, and no digits at all.
+# Runs of digits fuse into matrices of at most _BLOCK_CELLS cells: several
+# runs, runs of mixed radices, a radix above the cap on its own, and no
+# digits at all.
 PASS_GENERATORS = [
     GeneratorSequence.walsh(6),
     GeneratorSequence.walsh(9),
@@ -185,6 +188,20 @@ def test_axis_pass_rows_identical_batched_or_alone(g, batch):
         for i in range(batch):
             alone = _axis_pass(values[i], g, sign)
             assert rows[i].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [g.m for g in PASS_GENERATORS]
+    + [GeneratorSequence.walsh(22).m, GeneratorSequence.cycle([2, 3, 4], 12).m,
+       (5, 7, 2, 64, 3, 11, 3), (40,)],
+)
+def test_digit_runs_partition_the_radices_in_order(m):
+    runs = _digit_runs(m)
+    assert tuple(b for run in runs for b in run) == m
+    assert math.prod(math.prod(run) for run in runs) == math.prod(m)
+    for run in runs:
+        assert math.prod(run) <= _BLOCK_CELLS or len(run) == 1
 
 
 @pytest.mark.parametrize("g", PASS_GENERATORS, ids=PASS_IDS)
@@ -261,6 +278,39 @@ def test_kernel_rows_keep_order_and_validate_eagerly():
         with pytest.raises(ValueError, match=f"n={bad[-1]} out of range"):
             dirichlet_rows(bad, g)  # refused before the first block is asked for
     assert list(dirichlet_rows([], g)) == []
+
+
+NON_INTEGER_ORDERS = [2.5, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("n", NON_INTEGER_ORDERS)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f, n: dirichlet_rows([1, n], f.gen),
+        lambda f, n: fejer_mean_rows(forward_transform(f).coeffs, [1, n], f.gen),
+        lambda f, n: partial_sum_rows(forward_transform(f).coeffs, [1, n], f.gen),
+        lambda f, n: dirichlet(n, f.gen),
+        lambda f, n: fejer_kernel(n, f.gen),
+        lambda f, n: fejer_mean(f, n),
+        lambda f, n: partial_sum(f, n),
+    ],
+    ids=["dirichlet_rows", "fejer_mean_rows", "partial_sum_rows",
+         "dirichlet", "fejer_kernel", "fejer_mean", "partial_sum"],
+)
+def test_order_entry_points_refuse_non_integer_orders(entry, n):
+    # The row forms truncated these orders to int, so 2.5 gave the rows of
+    # n = 2; the single forms raised a TypeError for 2.5.
+    f = random_function(GeneratorSequence.walsh(4), np.random.default_rng(4))
+    with pytest.raises(ValueError, match=f"n={n} is not an integer"):
+        entry(f, n)
+
+
+@pytest.mark.parametrize("n", NON_INTEGER_ORDERS)
+def test_sigma_norm_profile_refuses_non_integer_nmax(n):
+    f = random_function(GeneratorSequence.walsh(4), np.random.default_rng(4))
+    with pytest.raises(ValueError, match=f"nmax={n}"):
+        sigma_norm_profile(f, n)
 
 
 @pytest.mark.parametrize("g", PASS_GENERATORS, ids=PASS_IDS)
