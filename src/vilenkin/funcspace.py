@@ -74,26 +74,6 @@ class GridFunction:
     def __neg__(self) -> "GridFunction":
         return GridFunction(self.gen, -self.values)
 
-    def conj(self) -> "GridFunction":
-        return GridFunction(self.gen, np.conj(self.values))
-
-    def abs(self) -> "GridFunction":
-        return GridFunction(self.gen, np.abs(self.values))
-
-    # measure-theoretic operations ----------------------------------------
-
-    def integrate(self) -> complex:
-        return integrate(self)
-
-    def lp_quasinorm(self, p: float) -> float:
-        return lp_quasinorm(self, p)
-
-    def weak_lp(self, p: float) -> float:
-        return weak_lp(self, p)
-
-    def refine(self, gen: GeneratorSequence) -> "GridFunction":
-        return refine(self, gen)
-
     # serialization --------------------------------------------------------
 
     def to_csv(self, stream: IO[str]) -> None:

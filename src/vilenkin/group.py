@@ -68,11 +68,6 @@ class GeneratorSequence:
         """Number of depth-N cells, M_N."""
         return self.scale[-1]
 
-    @property
-    def bound(self) -> int:
-        """The generator bound sup_k m_k (finite by construction)."""
-        return max(self.m) if self.m else 2
-
     @classmethod
     def walsh(cls, depth: int) -> "GeneratorSequence":
         return cls((2,) * depth)

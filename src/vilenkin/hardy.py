@@ -278,11 +278,19 @@ def select_alphas(
 # --- strong convergence sums -------------------------------------------------
 
 
-# Fejer means sigma_norm_profile synthesizes per batch: at most
-# _PROFILE_CHUNK rows and at most _PROFILE_BYTES of complex rows, with at
-# least one row.  The byte cap binds above M_N = 4096.
-_PROFILE_CHUNK = 128
-_PROFILE_BYTES = 1 << 23
+# Bytes of complex rows one block holds, with at least one row: a block of
+# Fejer means in sigma_norm_profile, and in the partial-sum row engine one
+# chunk of bases with their shift blocks, or one chunk of rows.
+_ROW_BYTES = 1 << 20
+
+
+def _order(name: str, n: float, size: int) -> int:
+    """n as an int in [1, size]; an integral float is accepted."""
+    if not 1 <= n <= size:
+        raise ValueError(f"{name}={n} out of range [1, {size}]")
+    if n != int(n):
+        raise ValueError(f"{name}={n} is not an integer")
+    return int(n)
 
 
 def sigma_norm_profile(
@@ -295,29 +303,16 @@ def sigma_norm_profile(
     that of its martingale maximal function.
     """
     gen = f.gen
-    if not 1 <= nmax <= gen.size:
-        raise ValueError(f"nmax={nmax} out of range [1, {gen.size}]")
-    if nmax != int(nmax):
-        raise ValueError(f"nmax={nmax} is not an integer")
-    nmax = int(nmax)
+    nmax = _order("nmax", nmax, gen.size)
     coeffs = forward_transform(f).coeffs
     out = np.empty(nmax)
-    step = max(1, min(_PROFILE_CHUNK, _PROFILE_BYTES // (16 * gen.size)))
+    step = max(1, _ROW_BYTES // (16 * gen.size))
     for start in range(1, nmax + 1, step):
         ks = np.arange(start, min(start + step, nmax + 1))
         block = fejer_mean_rows(coeffs, ks, gen)
         star = _maximal_abs(block, gen) if hardy else np.abs(block)
         out[ks - 1] = np.mean(np.sqrt(star), axis=-1)
     return out
-
-
-# Bytes the partial-sum row engine may allocate at once.  An eighth goes to one
-# chunk of bases and shift blocks, an eighth to one chunk of rows, the rest to
-# the temporaries of their syntheses and reductions and to the coefficients
-# and characters kept for the whole call (at most M_N cells each).  A chunk
-# holds at least one base with its L blocks and one row, so a grid where those
-# alone pass an eighth of it goes over.
-_ROW_ENGINE_BYTES = 1 << 23
 
 
 def _partial_sum_rows(
@@ -349,7 +344,7 @@ def _partial_sum_rows(
     high, low = GeneratorSequence(gen.m[s:]), GeneratorSequence(gen.m[:s])
     chars = synthesize_rows(np.eye(H, dtype=np.complex128)[:Q], high)
     below = np.tri(L, dtype=bool)  # below[j - 1, i] is i < j
-    share = _ROW_ENGINE_BYTES // (8 * coeffs.itemsize)
+    share = _ROW_BYTES // coeffs.itemsize
     q_step = max(1, share // (gen.size + L * L))
     j_step = min(L, max(1, share // gen.size))
     out = np.empty(n)
@@ -375,9 +370,7 @@ def _partial_sum_rows(
 
 def partial_sum_norm_profile(f: GridFunction, nmax: int, p: float) -> np.ndarray:
     """||S_k f||_p for k = 1..nmax, row by row through the shift identity."""
-    gen = f.gen
-    if not 1 <= nmax <= gen.size:
-        raise ValueError(f"nmax={nmax} out of range [1, {gen.size}]")
+    nmax = _order("nmax", nmax, f.gen.size)
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     sums = _partial_sum_rows(f, nmax, lambda rows: np.mean(np.abs(rows) ** p, axis=-1))
@@ -399,8 +392,7 @@ def strong_sums(
       simon          sum ||S_k f||_p^p / k^{2-p}
       gat            (1/log n) * sum ||S_k f - f||_1 / k
     """
-    if not 1 <= n <= f.gen.size:
-        raise ValueError(f"n={n} out of range [1, {f.gen.size}]")
+    n = _order("n", n, f.gen.size)
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     if n < 2 and mode in ("fejer_weighted", "gat"):
@@ -408,6 +400,8 @@ def strong_sums(
     k = np.arange(1, n + 1)
     if mode == "fejer_plain":
         weight = float(phi(n)) if phi is not None else 1.0
+        if not 0 < weight < math.inf:
+            raise ValueError(f"phi({n})={weight} must be finite and > 0")
         return float(np.sum(sigma_norm_profile(f, n)) / (n * weight))
     if mode == "fejer_weighted":
         return float(np.sum(sigma_norm_profile(f, n, hardy=True)) / (n * math.log(n)))

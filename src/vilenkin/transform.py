@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .funcspace import GridFunction
+from .funcspace import GridFunction, lp_quasinorm
 from .group import GeneratorSequence, digit_values, to_digits
 
 __all__ = [
@@ -330,4 +330,4 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
 
 def lebesgue_constant(n: int, gen: GeneratorSequence) -> float:
     """L_n = ||D_n||_1."""
-    return dirichlet(n, gen).lp_quasinorm(1.0)
+    return lp_quasinorm(dirichlet(n, gen), 1.0)

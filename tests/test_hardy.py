@@ -433,6 +433,36 @@ def test_strong_sums_refuse_bad_exponent(p):
         partial_sum_norm_profile(f, 4, p)
 
 
+ORDER_ENTRIES = {
+    "sigma_plain": lambda f, n: sigma_norm_profile(f, n),
+    "sigma_hardy": lambda f, n: sigma_norm_profile(f, n, hardy=True),
+    "partial_sum_profile": lambda f, n: partial_sum_norm_profile(f, n, 1.0),
+    **{
+        mode: (lambda f, n, mode=mode: strong_sums(f, n, mode=mode))
+        for mode in ("fejer_plain", "fejer_weighted", "simon", "gat")
+    },
+}
+
+
+@pytest.mark.parametrize("entry", ORDER_ENTRIES.values(), ids=ORDER_ENTRIES.keys())
+def test_profile_orders_accept_integral_floats_only(entry):
+    # Before one shared check, 7.0 and 7.5 raised a TypeError from numpy
+    # slicing in the partial-sum entry points.
+    f = random_function(WALSH, np.random.default_rng(3))
+    assert np.asarray(entry(f, 7.0)).tobytes() == np.asarray(entry(f, 7)).tobytes()
+    for bad in (7.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"={bad}"):
+            entry(f, bad)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+def test_fejer_plain_refuses_weight_not_finite_positive(weight):
+    # phi(n) = 0 used to return inf with only a RuntimeWarning.
+    f = random_function(WALSH, np.random.default_rng(4))
+    with pytest.raises(ValueError, match=rf"phi\(8\)={weight}"):
+        strong_sums(f, 8, mode="fejer_plain", phi=lambda n: weight)
+
+
 def profile_blocks(monkeypatch):
     """Record the number of rows of each Fejer block sigma_norm_profile asks for."""
     sizes = []
@@ -449,23 +479,30 @@ def profile_blocks(monkeypatch):
 @pytest.mark.parametrize("hardy_norm", [False, True], ids=["plain", "hardy"])
 def test_sigma_profile_blocks_capped_in_bytes_keep_bytes(monkeypatch, hardy_norm):
     sizes = profile_blocks(monkeypatch)
-    g12 = GeneratorSequence.walsh(12)  # 8 MiB is 128 rows of 4096 cells
+    g12 = GeneratorSequence.walsh(12)  # 1 MiB is 16 rows of 4096 cells
     sigma_norm_profile(random_function(g12, np.random.default_rng(8)), 130, hardy_norm)
-    assert sizes == [128, 2]
-    g = GeneratorSequence.walsh(13)  # the byte cap binds: 64 rows a block
+    assert sizes == [16] * 8 + [2]
+    g = GeneratorSequence.walsh(13)  # 8 rows a block
     f = random_function(g, np.random.default_rng(9))
     sizes.clear()
     capped = sigma_norm_profile(f, 150, hardy_norm)
-    assert sizes == [64, 64, 22]
-    monkeypatch.setattr(hardy, "_PROFILE_BYTES", 1 << 40)
+    assert sizes == [8] * 18 + [6]
+    monkeypatch.setattr(hardy, "_ROW_BYTES", 1 << 40)
     sizes.clear()
     uncapped = sigma_norm_profile(f, 150, hardy_norm)
-    assert sizes == [128, 22]
+    assert sizes == [150]  # no row cap: one block
     assert capped.tobytes() == uncapped.tobytes()
 
 
+def test_sigma_profile_blocks_on_the_divergence_grid(monkeypatch):
+    sizes = profile_blocks(monkeypatch)
+    g = GeneratorSequence.walsh(9)  # 1 MiB is 128 rows of 512 cells
+    sigma_norm_profile(random_function(g, np.random.default_rng(11)), 512, hardy=True)
+    assert sizes == [128] * 4
+
+
 def test_hardy_profile_peak_allocation_bounded_by_byte_cap():
-    g = GeneratorSequence.walsh(15)  # 16 rows a block
+    g = GeneratorSequence.walsh(15)  # 2 rows a block
     f = random_function(g, np.random.default_rng(10))
     sigma_norm_profile(f, 2, hardy=True)  # fills the run-matrix caches
     tracemalloc.start()
@@ -474,10 +511,10 @@ def test_hardy_profile_peak_allocation_bounded_by_byte_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Measured 4.56 caps (numpy 2.4), the same as a plain profile, so the
-    # peak lies in the synthesis of a block.  128 rows a block, as before
-    # the byte cap, peaked at 24 caps.
-    assert peak <= 4.6 * hardy._PROFILE_BYTES
+    # Measured 5.00 x 1 MiB (numpy 2.4), the same as a plain profile, so the
+    # peak lies in the synthesis of a 2-row block.  With at most 128 rows
+    # and 8 MiB a block, it was 4.56 x 8 MiB.
+    assert peak <= 5.1 * hardy._ROW_BYTES
 
 
 # --- the partial-sum row engine ----------------------------------------------
@@ -536,7 +573,7 @@ def test_row_engine_peak_allocation_within_budget(monkeypatch):
     every_base = (g.size // 64) * g.size * 16
     assert every_base >= 2 * budget
     unbounded = partial_sum_norm_profile(f, g.size, 0.5)
-    monkeypatch.setattr(hardy, "_ROW_ENGINE_BYTES", budget)
+    monkeypatch.setattr(hardy, "_ROW_BYTES", budget // 8)
     tracemalloc.start()
     try:
         profile = partial_sum_norm_profile(f, g.size, 0.5)
