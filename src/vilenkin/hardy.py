@@ -211,6 +211,14 @@ class CounterexampleMartingale:
         return -1
 
 
+def _weight(phi: Callable[[int], float], n: int) -> float:
+    """phi(n) as a float, refused unless it is finite and > 0."""
+    weight = float(phi(n))
+    if not 0 < weight < math.inf:
+        raise ValueError(f"phi({n})={weight} must be finite and > 0")
+    return weight
+
+
 def _block_atom(a: int, gen: GeneratorSequence) -> np.ndarray:
     """Cell values of M_a * r_a * D_{M_a}."""
     Ma = gen.scale[a]
@@ -239,7 +247,7 @@ def counterexample_martingale(
     total = np.zeros(gen.size, dtype=np.complex128)
     for a in alphas:
         Ma = gen.scale[a]
-        lam = float(phi(2 * Ma)) / math.log(Ma)
+        lam = _weight(phi, 2 * Ma) / math.log(Ma)
         lambdas.append(lam)
         total += lam * _block_atom(a, gen)
     return CounterexampleMartingale(gen, alphas, tuple(lambdas), GridFunction(gen, total))
@@ -265,7 +273,7 @@ def select_alphas(
         for a in range(prev + 1, gen.depth):
             if 2 * gen.scale[a] > gen.size:
                 break
-            if math.log(gen.scale[a]) / float(phi(2 * gen.scale[a])) >= target:
+            if math.log(gen.scale[a]) / _weight(phi, 2 * gen.scale[a]) >= target:
                 found = a
                 break
         if found is None:
@@ -299,12 +307,15 @@ def sigma_norm_profile(
     """||sigma_k f||_{1/2}^{1/2} for k = 1..nmax, optionally in H_{1/2}.
 
     Fejer means are synthesized in batches from the shared coefficient
-    vector; with ``hardy`` the L_{1/2} integral of each mean is replaced by
+    vector (in float64 on a Walsh grid when its imaginary part is exactly
+    0); with ``hardy`` the L_{1/2} integral of each mean is replaced by
     that of its martingale maximal function.
     """
     gen = f.gen
     nmax = _order("nmax", nmax, gen.size)
     coeffs = forward_transform(f).coeffs
+    if not coeffs.imag.any():  # tested once here, not once a block
+        coeffs = coeffs.real
     out = np.empty(nmax)
     step = max(1, _ROW_BYTES // (16 * gen.size))
     for start in range(1, nmax + 1, step):
@@ -399,9 +410,7 @@ def strong_sums(
         raise ValueError(f"n={n}: mode {mode!r} divides by log n, which needs n >= 2")
     k = np.arange(1, n + 1)
     if mode == "fejer_plain":
-        weight = float(phi(n)) if phi is not None else 1.0
-        if not 0 < weight < math.inf:
-            raise ValueError(f"phi({n})={weight} must be finite and > 0")
+        weight = _weight(phi, n) if phi is not None else 1.0
         return float(np.sum(sigma_norm_profile(f, n)) / (n * weight))
     if mode == "fejer_weighted":
         return float(np.sum(sigma_norm_profile(f, n, hardy=True)) / (n * math.log(n)))

@@ -8,6 +8,13 @@ Consecutive digits are fused into runs of at most 32 cells (a larger radix
 runs alone), and each run is applied as one Kronecker-product matrix
 (Fino-Algazi), so a pass is one matmul per run and costs O(M_N * sum of the
 run sizes) instead of O(M_N^2).
+
+The quarter turns 1, i, -1 and -i are written exactly in every character
+table, so a run of radix-2 digits is a real matrix and a radix-4 table is
+exact in both parts.  Real rows stay float64 through real run matrices and
+become complex at the first complex run: real coefficients (Dirichlet masks,
+Fejer weights, a real spectrum) synthesize Walsh rows in real arithmetic,
+and Walsh kernels have an imaginary part of exactly 0.
 """
 
 from __future__ import annotations
@@ -79,11 +86,25 @@ class SpectralVector:
 _BLOCK_CELLS = 32
 
 
+# 1, i, -1, -i: the character value at a phase of q quarter turns.
+_QUARTER_TURNS = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
+
+
 @lru_cache(maxsize=None)
 def _char_matrix(base: int, sign: int) -> np.ndarray:
-    """Dense size-m character matrix exp(sign * 2*pi*i * j*x / m)."""
+    """Dense size-m character matrix exp(sign * 2*pi*i * j*x / m).
+
+    Entries at a whole number of quarter turns, where 4 * (j*x mod m) is a
+    multiple of m, are exactly 1, i, -1 or -i (np.exp gives exp(i*pi) as
+    -1 + 1.2e-16i).  Every other entry is np.exp of the unreduced phase.
+    """
     jx = np.outer(np.arange(base), np.arange(base))
-    return np.exp(sign * 2j * np.pi * jx / base)
+    w = np.exp(sign * 2j * np.pi * jx / base)
+    quarters = 4 * (jx % base)
+    exact = quarters % base == 0
+    w[exact] = _QUARTER_TURNS[sign * (quarters[exact] // base) % 4]
+    w.setflags(write=False)
+    return w
 
 
 @lru_cache(maxsize=None)
@@ -99,13 +120,18 @@ def _digit_runs(m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _run_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
+def _run_matrix(radices: tuple[int, ...], sign: int, complex_rows: bool) -> np.ndarray:
     """Kronecker product of the radices' character matrices, highest digit
-    outermost, so row and column indices follow the mixed-radix order."""
+    outermost, so row and column indices follow the mixed-radix order.
+
+    A matrix whose entries are all real (a run of radix 2) is float64,
+    except for complex rows: numpy would cast it to complex on every call,
+    to the same bits as this complex copy.
+    """
     w = np.ones((1, 1), dtype=np.complex128)
     for base in reversed(radices):
         w = np.kron(w, _char_matrix(base, sign))
-    return w
+    return w if complex_rows or w.imag.any() else w.real.copy()
 
 
 def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndarray:
@@ -117,13 +143,16 @@ def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndar
     axis of (batch, M_N / (G * post), G, post).  The batch stays an axis of
     its own, so every row goes through the same BLAS calls however many rows
     there are, and a row's result is bit-identical batched or alone.
+
+    The dtype alone picks the arithmetic: float64 rows stay float64 through
+    real run matrices, and numpy promotes them at the first complex run.
     """
     lead = values.shape[:-1]
     batch = math.prod(lead)
     arr = values
     post = 1
     for radices in _digit_runs(gen.m):
-        w = _run_matrix(radices, sign)
+        w = _run_matrix(radices, sign, np.iscomplexobj(arr))
         g = w.shape[0]
         pre = gen.size // (g * post)
         if post == 1:
@@ -153,36 +182,60 @@ def naive_forward_transform(f: GridFunction) -> SpectralVector:
     return SpectralVector(gen, coeffs)
 
 
+def _synthesis(coeffs: np.ndarray, gen: GeneratorSequence) -> GridFunction:
+    """Synthesis of a full coefficient vector.  A SpectralVector is always
+    complex, so only complex coefficients go through inverse_transform; real
+    ones go straight to the axis pass and stay float64 where the runs allow."""
+    if np.iscomplexobj(coeffs):
+        return inverse_transform(SpectralVector(gen, coeffs))
+    return GridFunction(gen, _axis_pass(coeffs, gen, +1))
+
+
+def _real_if_exact(coeffs: np.ndarray) -> np.ndarray:
+    """A spectrum's real part if its imaginary part is exactly 0, else the
+    spectrum itself."""
+    coeffs = np.asarray(coeffs)
+    return coeffs.real if np.iscomplexobj(coeffs) and not coeffs.imag.any() else coeffs
+
+
 def synthesize(gen: GeneratorSequence, coeffs: np.ndarray) -> GridFunction:
     """Synthesis of a (possibly short) coefficient vector."""
-    full = np.zeros(gen.size, dtype=np.complex128)
+    coeffs = np.asarray(coeffs)
+    full = np.zeros(gen.size, dtype=np.result_type(coeffs, np.float64))
     full[: len(coeffs)] = coeffs
-    return inverse_transform(SpectralVector(gen, full))
+    return _synthesis(full, gen)
+
+
+def _character_row(k: int, d: int, gen: GeneratorSequence) -> np.ndarray:
+    """r_k^d on the grid, read from row d of the exact size-m_k table."""
+    return _char_matrix(gen.m[k], +1)[d][digit_values(gen, k)]
 
 
 def rademacher(k: int, gen: GeneratorSequence) -> GridFunction:
     """r_k(x) = exp(2*pi*i * x_k / m_k)."""
     if not 0 <= k < gen.depth:
         raise ValueError(f"rank {k} out of range [0, {gen.depth})")
-    return GridFunction(
-        gen, np.exp(2j * np.pi * digit_values(gen, k) / gen.m[k])
-    )
+    return GridFunction(gen, _character_row(k, 1, gen))
 
 
 def vilenkin_fn(n: int, gen: GeneratorSequence) -> GridFunction:
-    """The n-th character psi_n = prod_k r_k^{n_k}, unimodular on the group."""
-    exp = to_digits(n, gen)
-    phase = np.zeros(gen.size)
-    for k, d in enumerate(exp.digits):
+    """The n-th character psi_n = prod_k r_k^{n_k}, unimodular on the group.
+
+    Each factor is a row of the exact character table, so a character whose
+    values are all real (every Walsh character) has imaginary part 0.
+    """
+    values = np.ones(gen.size, dtype=np.complex128)
+    for k, d in enumerate(to_digits(n, gen).digits):
         if d:
-            phase += d * digit_values(gen, k) / gen.m[k]
-    return GridFunction(gen, np.exp(2j * np.pi * phase))
+            values *= _character_row(k, d, gen)
+    return GridFunction(gen, values)
 
 
 def _truncated(coeffs: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """The S_n multiplier: for each n in ``ns`` a row of coeffs below n and
-    +0 from n on.  Copying into zeros, not multiplying by 0, keeps -0.0 out."""
-    rows = np.zeros((ns.size, len(coeffs)), dtype=np.complex128)
+    +0 from n on.  Copying into zeros, not multiplying by 0, keeps -0.0 out.
+    Real coefficients give real rows."""
+    rows = np.zeros((ns.size, len(coeffs)), dtype=np.result_type(coeffs, np.float64))
     for row, n in zip(rows, ns.tolist()):
         row[:n] = coeffs[:n]
     return rows
@@ -223,8 +276,10 @@ def synthesize_rows(coeff_rows: np.ndarray, gen: GeneratorSequence) -> np.ndarra
 
     ``coeff_rows`` may carry any leading batch dimensions; its last axis must
     have length M_N.  Every row is bit-identical to its synthesis alone.
+    Real rows come back float64 when every run matrix is real.
     """
-    rows = np.asarray(coeff_rows, dtype=np.complex128)
+    rows = np.asarray(coeff_rows)
+    rows = rows.astype(np.result_type(rows, np.float64), copy=False)
     if rows.ndim == 0 or rows.shape[-1] != gen.size:
         raise ValueError(
             f"expected rows of {gen.size} coefficients, got shape {rows.shape}"
@@ -295,7 +350,9 @@ def fejer_kernel_rows(
 def fejer_mean_rows(
     coeffs: np.ndarray, ks: np.ndarray, gen: GeneratorSequence
 ) -> np.ndarray:
-    """sigma_k f for every k in ``ks``, one row each, from f's coefficients."""
+    """sigma_k f for every k in ``ks``, one row each, from f's coefficients.
+    A spectrum with imaginary part exactly 0 synthesizes as a real one."""
+    coeffs = _real_if_exact(coeffs)
     return synthesize_rows(_fejer_weights(_orders(ks, gen), gen.size) * coeffs, gen)
 
 
@@ -323,9 +380,9 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     total weight (n - 1 - j)/n; coefficients at or above n - 1 drop out.
     """
     ns = _orders([n], f.gen)
-    coeffs = forward_transform(f).coeffs
+    coeffs = _real_if_exact(forward_transform(f).coeffs)
     weights = _fejer_weights(ns, f.gen.size)[0]
-    return inverse_transform(SpectralVector(f.gen, coeffs * weights))
+    return _synthesis(coeffs * weights, f.gen)
 
 
 def lebesgue_constant(n: int, gen: GeneratorSequence) -> float:

@@ -263,6 +263,18 @@ def test_kernel_csvs_byte_equal_to_per_n_formatting(tmp_path, spec, depth, nmax)
         assert b",-0," in read(tmp_path / "dirichlet.csv")
 
 
+def test_walsh_kernel_csvs_have_zero_imaginary_parts(tmp_path):
+    # Walsh kernels are real; with exact characters they synthesize in
+    # float64, where complex round-off left value_im nonzero in most rows.
+    assert main(["kernels", "--generator", "constant:2", "--depth", "6",
+                 "--nmax", "64", "--out", str(tmp_path)]) == 0
+    for name in ("dirichlet.csv", "fejer.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 64 * 64
+        assert {row["value_im"] for row in rows} == {"0"}, name
+
+
 def test_lebesgue_and_variation_match_per_n_oracles(tmp_path):
     from vilenkin import lebesgue_constant, variation
 

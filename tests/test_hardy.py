@@ -359,6 +359,22 @@ def test_select_alphas_sqrt_log_weight():
     assert math.log(g.scale[ranks[0]]) / phi(2 * g.scale[ranks[0]]) >= 2.0
 
 
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [lambda phi, g: select_alphas(phi, 2, g),
+     lambda phi, g: counterexample_martingale(phi, [1, 3], g)],
+    ids=["select_alphas", "counterexample_martingale"],
+)
+def test_block_weights_refuse_phi_not_finite_positive(build, weight):
+    # Both read phi(2 M_1) = phi(4) first.  phi = 0 used to raise a bare
+    # ZeroDivisionError in select_alphas and give lambdas (0, 0) in
+    # counterexample_martingale; nan gave [] silently, -1 negative lambdas.
+    g = GeneratorSequence.walsh(8)
+    with pytest.raises(ValueError, match=rf"phi\(4\)={weight} must be finite and > 0"):
+        build(lambda n: weight, g)
+
+
 # --- strong sums -------------------------------------------------------------
 
 

@@ -30,6 +30,7 @@ from vilenkin import (
 from vilenkin.transform import (
     _BLOCK_CELLS,
     _axis_pass,
+    _char_matrix,
     _digit_runs,
     dirichlet_rows,
     fejer_kernel_rows,
@@ -61,14 +62,15 @@ def brute_convolution(f: GridFunction, g: GridFunction) -> GridFunction:
 
 def test_rademacher_walsh_signs():
     r0 = rademacher(0, WALSH).values
-    assert np.allclose(r0[point_index((0, 0, 0), WALSH)], 1.0)
-    assert np.allclose(r0[point_index((1, 0, 0), WALSH)], -1.0)
+    assert r0[point_index((0, 0, 0), WALSH)] == 1.0
+    assert r0[point_index((1, 0, 0), WALSH)] == -1.0
+    assert not r0.imag.any()
 
 
 def test_rademacher_quartic_root():
     g = GeneratorSequence((4, 2))
     r0 = rademacher(0, g).values
-    assert np.allclose(r0[point_index((1, 0), g)], 1j)
+    assert [r0[point_index((x, 0), g)] for x in range(4)] == [1, 1j, -1, -1j]
 
 
 def test_rademacher_mean_zero_and_unimodular(gen):
@@ -92,6 +94,37 @@ def test_vilenkin_walsh_product():
     psi3 = vilenkin_fn(3, WALSH).values
     prod = rademacher(0, WALSH).values * rademacher(1, WALSH).values
     assert np.allclose(psi3, prod)
+
+
+def test_vilenkin_walsh_characters_are_exactly_real():
+    g = GeneratorSequence.walsh(8)
+    for n in range(g.size):
+        psi = vilenkin_fn(n, g).values
+        assert not psi.imag.any(), n
+        assert set(psi.real.tolist()) <= {1.0, -1.0}, n
+
+
+def test_vilenkin_table_product_matches_summed_phase():
+    # "summed" is psi_n as np.exp of the summed phase, as it was computed
+    # before the exact character tables; its error grows with the phase, up
+    # to 7.9e-15 here against np.exp of the phase reduced mod 1, where the
+    # table product stays within 1.9e-15 (measured).
+    from vilenkin.group import digit_values, to_digits
+
+    g = GeneratorSequence.cycle([2, 3, 4], 5)
+    lcm = math.lcm(*g.m)
+    for n in range(g.size):
+        phase = np.zeros(g.size)
+        turns = np.zeros(g.size, dtype=np.int64)  # the phase in units of 1/lcm
+        for k, d in enumerate(to_digits(n, g).digits):
+            if d:
+                phase += d * digit_values(g, k) / g.m[k]
+                turns += d * digit_values(g, k) * (lcm // g.m[k])
+        summed = np.exp(2j * np.pi * phase)
+        reduced = np.exp(2j * np.pi * (turns % lcm) / lcm)
+        psi = vilenkin_fn(n, g).values
+        assert np.max(np.abs(psi - summed)) <= 1e-14, n
+        assert np.max(np.abs(psi - reduced)) <= 4e-15, n
 
 
 def test_vilenkin_multiplicative(gen, rng):
@@ -178,16 +211,70 @@ PASS_GENERATORS = [
 PASS_IDS = ["x".join(map(str, g.m)) or "empty" for g in PASS_GENERATORS]
 
 
+def _exp_table(m, sign):
+    jx = np.outer(np.arange(m), np.arange(m))
+    return np.exp(sign * 2j * np.pi * jx / m)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 12])
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_quarter_turn_characters_are_exact(m, sign):
+    table = _char_matrix(m, sign)
+    turns = [1, 1j, -1, -1j]
+    for j in range(m):
+        for x in range(m):
+            r = j * x % m
+            if 4 * r % m == 0:
+                assert table[j, x] == turns[sign * (4 * r // m) % 4], (j, x)
+            else:  # every other entry keeps the bits of np.exp
+                assert table[j, x] == _exp_table(m, sign)[j, x], (j, x)
+    assert np.max(np.abs(table - _exp_table(m, sign))) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_odd_radix_tables_are_the_exp_formula_to_the_bit(m, sign):
+    assert _char_matrix(m, sign).tobytes() == _exp_table(m, sign).tobytes()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [GeneratorSequence.walsh(10), GeneratorSequence.cycle([2, 4], 6), GeneratorSequence((2, 3, 2))],
+    ids=["walsh10", "cycle24x6", "2x3x2"],
+)
+def test_real_pass_matches_complex_pass(g):
+    # On Walsh every run matrix is real and the rows stay float64; on the
+    # other two the first run is complex and promotes them.
+    rows = np.random.default_rng(g.size).normal(size=(5, g.size))
+    for sign in (-1, +1):
+        real = _axis_pass(rows, g, sign)
+        full = _axis_pass(rows.astype(np.complex128), g, sign)
+        assert real.dtype == (np.float64 if set(g.m) == {2} else np.complex128)
+        assert np.max(np.abs(real - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+def _assert_rows_identical_batched_or_alone(values, g):
+    for sign in (-1, +1):
+        rows = _axis_pass(values, g, sign)
+        for i in range(len(values)):
+            alone = _axis_pass(values[i], g, sign)
+            assert rows[i].tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("g", PASS_GENERATORS, ids=PASS_IDS)
 @pytest.mark.parametrize("batch", [1, 2, 7, 128])
 def test_axis_pass_rows_identical_batched_or_alone(g, batch):
     rng = np.random.default_rng(batch)
     values = rng.normal(size=(batch, g.size)) + 1j * rng.normal(size=(batch, g.size))
-    for sign in (-1, +1):
-        rows = _axis_pass(values, g, sign)
-        for i in range(batch):
-            alone = _axis_pass(values[i], g, sign)
-            assert rows[i].tobytes() == alone.tobytes()
+    _assert_rows_identical_batched_or_alone(values, g)
+
+
+@pytest.mark.parametrize("g", PASS_GENERATORS, ids=PASS_IDS)
+@pytest.mark.parametrize("batch", [1, 2, 7, 128])
+def test_axis_pass_real_rows_identical_batched_or_alone(g, batch):
+    # float64 rows: real arithmetic on Walsh, promoted at a complex run elsewhere.
+    values = np.random.default_rng(batch).normal(size=(batch, g.size))
+    _assert_rows_identical_batched_or_alone(values, g)
 
 
 @pytest.mark.parametrize(
@@ -258,12 +345,14 @@ def _fejer_by_synthesis(n, g):
 )
 def test_kernel_rows_byte_equal_to_single_kernels(g, rows, single, oracle):
     # The oracle is the one-row synthesis of the coefficients written out.
+    # Rows of a grid whose run matrices are all real (Walsh) are float64, and
+    # a GridFunction stores them as complex with imaginary part +0.
     seen = []
     for ns, block in rows(range(1, g.size + 1), g):
         assert block.shape == (ns.size, g.size)
         for n, row in zip(ns.tolist(), block):
             expected = oracle(n, g).tobytes()
-            assert row.tobytes() == expected, n
+            assert row.astype(np.complex128).tobytes() == expected, n
             assert single(n, g).values.tobytes() == expected, n
             seen.append(n)
     assert seen == list(range(1, g.size + 1))
@@ -326,14 +415,29 @@ def test_synthesize_rows_matches_inverse_transform(g):
         synthesize_rows(np.ones(g.size + 1), g)
 
 
-def test_fejer_mean_rows_byte_equal_to_fejer_mean():
-    g = GeneratorSequence.cycle([2, 3, 4], 4)
-    f = random_function(g, np.random.default_rng(3))
+def _assert_fejer_mean_rows_byte_equal_to_fejer_mean(f):
+    g = f.gen
     coeffs = forward_transform(f).coeffs
     ks = np.arange(1, g.size + 1)
     rows = fejer_mean_rows(coeffs, ks, g)
     for k in ks:
-        assert rows[k - 1].tobytes() == fejer_mean(f, int(k)).values.tobytes()
+        row = rows[k - 1].astype(np.complex128)
+        assert row.tobytes() == fejer_mean(f, int(k)).values.tobytes()
+    return rows
+
+
+def test_fejer_mean_rows_byte_equal_to_fejer_mean():
+    g = GeneratorSequence.cycle([2, 3, 4], 4)
+    f = random_function(g, np.random.default_rng(3))
+    _assert_fejer_mean_rows_byte_equal_to_fejer_mean(f)
+
+
+def test_fejer_means_of_a_real_walsh_spectrum_take_the_same_float64_pass():
+    # A real function on a Walsh grid has a spectrum with imaginary part
+    # exactly 0: the rows and the single mean both synthesize its real part.
+    g = GeneratorSequence.walsh(6)
+    f = GridFunction(g, np.random.default_rng(3).normal(size=g.size))
+    assert _assert_fejer_mean_rows_byte_equal_to_fejer_mean(f).dtype == np.float64
 
 
 @pytest.mark.parametrize(
@@ -368,10 +472,13 @@ def test_sigma_profile_bit_identical_to_clipped_weights_oracle(hardy):
     g = GeneratorSequence.walsh(6)
     f = counterexample_martingale(lambda n: max(1.0, math.log(n) ** 0.5), [2, 3, 5], g).function
     coeffs = forward_transform(f).coeffs
+    # A real function on a Walsh grid has a spectrum with imaginary part
+    # exactly 0, and the profile synthesizes its real part in float64.
+    assert not coeffs.imag.any()
     ks = np.arange(1, g.size + 1)
     j = np.arange(g.size)
     weights = np.clip((ks[:, None] - 1 - j[None, :]) / ks[:, None], 0.0, None)
-    block = _axis_pass(weights * coeffs[None, :], g, +1)
+    block = _axis_pass(weights * coeffs.real[None, :], g, +1)
     star = _maximal_abs(block, g) if hardy else np.abs(block)
     expected = np.mean(np.sqrt(star), axis=-1)
     assert sigma_norm_profile(f, g.size, hardy=hardy).tobytes() == expected.tobytes()
