@@ -288,7 +288,11 @@ def select_alphas(
 
 # Bytes of complex rows one block holds, with at least one row: a block of
 # Fejer means in sigma_norm_profile, and in the partial-sum row engine one
-# chunk of bases with their shift blocks, or one chunk of rows.
+# chunk of bases with their shift blocks, or one chunk of rows.  The budget
+# counts rows, not the synthesis temporaries around them (weights, weighted
+# coefficients, a fresh array per run of the axis pass): a Walsh(15) Hardy
+# profile peaks at 5.00 x 1 MiB, pinned by
+# test_hardy_profile_peak_allocation_bounded_by_byte_cap.
 _ROW_BYTES = 1 << 20
 
 

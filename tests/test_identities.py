@@ -3,14 +3,19 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vilenkin
-from vilenkin import GeneratorSequence, dirichlet, fejer_kernel, rademacher, to_digits
+from vilenkin import (
+    GeneratorSequence, dirichlet, fejer_kernel, identities, rademacher, to_digits,
+    vilenkin_fn,
+)
 from vilenkin.identities import (
+    _random_block_patterns,
     CheckReport,
     check_block_pattern_lower_bound,
     check_digit_tail_bound,
@@ -311,3 +316,117 @@ def test_deviation_scales_with_grid_not_n():
             check_kernel_digit_expansion(n, gen).value for n in (5, 11, 21)
         )
         assert worst < 1e-9 * gen.size
+
+
+# --- one kernel table per run ------------------------------------------------
+
+TABLE_GENERATORS = [
+    GeneratorSequence.cycle([2, 3, 4], 6),
+    GeneratorSequence((2, 2, 2, 3, 2, 4)),
+    GeneratorSequence.walsh(10),
+    GeneratorSequence.constant(3, 5),
+]
+
+
+def _standalone_suite(gen, seed):
+    """run_suite's checks in its order, each called alone on its own kernels."""
+    N, M = gen.depth, gen.scale
+    patterns = _random_block_patterns(gen, np.random.default_rng(seed), 20)
+    reports = [check_dirichlet_at_scale(n, gen) for n in range(N + 1)]
+    reports += [check_dirichlet_scaled(n, s, gen)
+                for n in range(N) for s in range(1, gen.m[n])]
+    reports += [check_dirichlet_shift(a, gen) for a in range(N) if 2 * M[a] <= gen.size]
+    reports += [check_kernel_block_decomposition(n, s, gen)
+                for n in range(min(N - 1, 5) + 1) for s in range(1, gen.m[n])]
+    reports += [check_kernel_lower_bound(n, s, gen)
+                for n in range(1, min(N - 1, 6) + 1) for s in range(1, gen.m[n])]
+    reports += [check_kernel_vanishing(n, s, t, gen)
+                for n in range(2, min(N - 1, 5) + 1)
+                for s in range(1, gen.m[n]) for t in range(n - 1)]
+    for n in range(1, M[4]):
+        reports += [check_kernel_digit_expansion(n, gen), check_digit_tail_bound(n, gen)]
+    reports += [check_block_pattern_lower_bound(p, gen) for p in patterns]
+    return reports
+
+
+def _value_bits(reports):
+    return [np.float64(r.value).tobytes() for r in reports]
+
+
+@pytest.mark.parametrize("gen", TABLE_GENERATORS, ids=str)
+def test_suite_reports_equal_standalone_checks(gen):
+    suite = run_suite(gen, np.random.default_rng(3))
+    alone = _standalone_suite(gen, 3)
+    assert suite == alone
+    assert _value_bits(suite) == _value_bits(alone)
+
+
+class _CountingTable(identities._KernelTable):
+    built = 0
+
+    def __init__(self, gen, keys):
+        type(self).built += 1
+        super().__init__(gen, keys)
+
+
+@pytest.mark.parametrize("gen", TABLE_GENERATORS, ids=str)
+def test_suite_reports_do_not_depend_on_the_table_budget(gen, monkeypatch):
+    monkeypatch.setattr(identities, "_KernelTable", _CountingTable)
+    runs = {}
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(identities, "_TABLE_BYTES", budget)
+        _CountingTable.built = 0
+        runs[budget] = run_suite(gen, np.random.default_rng(4))
+        runs[budget, "tables"] = _CountingTable.built
+    assert runs[1] == runs[1 << 40]
+    assert _value_bits(runs[1]) == _value_bits(runs[1 << 40])
+    # One byte: a table for each check (a tail bound reads none, but gets one).
+    assert runs[1, "tables"] == len(runs[1])
+    assert runs[1 << 40, "tables"] == 1
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [GeneratorSequence.walsh(5), GeneratorSequence.cycle([2, 3, 4], 3),
+     GeneratorSequence.constant(3, 3), GeneratorSequence((4, 2, 2)),
+     GeneratorSequence((5, 2, 3))],
+    ids=str,
+)
+def test_table_rows_byte_equal_to_single_kernels(gen):
+    ns = range(1, gen.size + 1)
+    keys = ({("D", n) for n in ns} | {("K", n) for n in ns}
+            | {("psi", n) for n in range(gen.size)}
+            | {("r", k, d) for k in range(gen.depth) for d in range(gen.m[k])})
+    table = identities._KernelTable(gen, keys)
+    assert set(table) == keys
+    real = set(gen.m) == {2}
+    for n in ns:  # K_1 = 0 included
+        for kind, kernel in (("D", dirichlet), ("K", fejer_kernel)):
+            row = table[kind, n]
+            assert row.dtype == (np.float64 if real else np.complex128)
+            assert row.astype(np.complex128).tobytes() == kernel(n, gen).values.tobytes()
+    assert not table["K", 1].any()
+    for n in range(gen.size):
+        assert table["psi", n].tobytes() == vilenkin_fn(n, gen).values.tobytes()
+    for k in range(gen.depth):
+        for d in range(gen.m[k]):
+            assert table["r", k, d].tobytes() == (rademacher(k, gen).values ** d).tobytes()
+
+
+def test_suite_peak_allocation_on_a_chunked_grid(monkeypatch):
+    gen = GeneratorSequence.constant(3, 7)  # 2187 cells: 35 KiB a complex row
+    rng = np.random.default_rng(0)
+    run_suite(gen, rng)  # fills the caches
+    monkeypatch.setattr(identities, "_KernelTable", _CountingTable)
+    _CountingTable.built = 0
+    tracemalloc.start()
+    try:
+        run_suite(gen, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _CountingTable.built > 1  # 9 tables of at most 1 MiB of rows
+    # Measured with warm caches, numpy 2.4.6: 525 KiB before kernel tables,
+    # when every check synthesized its own rows; 1228 KiB with 1 MiB tables;
+    # 599 KiB with one check a table.  A table adds at most its budget.
+    assert peak <= 525 * 1024 + identities._TABLE_BYTES
