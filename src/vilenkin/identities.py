@@ -18,11 +18,12 @@ are bit-identical to single ones, so the reports do not depend on the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .group import GeneratorSequence
+from .group import GeneratorSequence, to_digits
 from .transform import (
     dirichlet,  # not called here; bench/test_bench.py checks the tracer patches it here
     dirichlet_rows,
@@ -93,8 +94,9 @@ _Key = tuple
 
 # Bytes of rows one table holds in run_suite (at least one check's rows),
 # counted as complex rows.  A six-digit grid of 192 or 240 cells fits whole
-# (at most 341 KiB); a deep grid runs in several tables.
-_TABLE_BYTES = 1 << 20
+# (at most 341 KiB); a deep grid runs in several tables.  On constant:3
+# depth 7, 1 MiB tables raised the peak by 522 KiB for no measurable gain.
+_TABLE_BYTES = 1 << 19
 
 
 class _KernelTable(dict):
@@ -268,7 +270,7 @@ def check_kernel_vanishing(
     )
     count = int(cells.size)
     # Scalar abs per cell: np.abs over the array rounds differently.
-    dev = max(map(abs, kern[cells].tolist()), default=0.0)
+    dev = max((abs(v) for v in kern[cells]), default=0.0)
     note = f"cells={count}"
     if count == 0:
         return CheckReport.not_applicable(
@@ -279,15 +281,13 @@ def check_kernel_vanishing(
     )
 
 
-def _digit_terms(n: int, gen: GeneratorSequence) -> list[tuple[int, int]]:
-    """Nonzero digits of 0 <= n < M_N as (position, digit), in decreasing
-    position order."""
-    terms = []
-    for pos, base in enumerate(gen.m):
-        n, dig = divmod(n, base)
-        if dig:
-            terms.append((pos, dig))
-    return terms[::-1]
+@lru_cache(maxsize=None)
+def _digit_terms(n: int, gen: GeneratorSequence) -> tuple[tuple[int, int], ...]:
+    """Nonzero digits of n as (position, digit), in decreasing position order.
+    Cached: run_suite reads them for the table keys, the expansion check and
+    the tail bound of each n."""
+    exp = to_digits(n, gen)
+    return tuple((j, d) for j, d in reversed(list(enumerate(exp.digits))) if d)
 
 
 def _digit_expansion_keys(n: int, gen: GeneratorSequence) -> set[_Key]:

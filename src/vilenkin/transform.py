@@ -191,23 +191,11 @@ def _synthesis(coeffs: np.ndarray, gen: GeneratorSequence) -> GridFunction:
     return GridFunction(gen, _axis_pass(coeffs, gen, +1))
 
 
-@lru_cache(maxsize=None)
-def _complex_first_run(m: tuple[int, ...]) -> bool:
-    """Whether the first run matrix of a synthesis on radices m is complex,
-    so that a real row becomes complex in the first matmul of a pass."""
-    runs = _digit_runs(m)
-    return bool(runs) and np.iscomplexobj(_run_matrix(runs[0], +1, False))
-
-
-def _real_if_exact(coeffs: np.ndarray, gen: GeneratorSequence) -> np.ndarray:
+def _real_if_exact(coeffs: np.ndarray) -> np.ndarray:
     """A spectrum's real part if its imaginary part is exactly 0, else the
-    spectrum itself.  Where the first run is complex, a real spectrum would be
-    promoted at once to the same bits, so the spectrum is not scanned; where
-    it is real, dgemm and zgemm round differently, so the scan decides."""
+    spectrum itself."""
     coeffs = np.asarray(coeffs)
-    if not np.iscomplexobj(coeffs) or _complex_first_run(gen.m) or coeffs.imag.any():
-        return coeffs
-    return coeffs.real
+    return coeffs.real if np.iscomplexobj(coeffs) and not coeffs.imag.any() else coeffs
 
 
 def synthesize(gen: GeneratorSequence, coeffs: np.ndarray) -> GridFunction:
@@ -364,7 +352,7 @@ def fejer_mean_rows(
 ) -> np.ndarray:
     """sigma_k f for every k in ``ks``, one row each, from f's coefficients.
     A spectrum with imaginary part exactly 0 synthesizes as a real one."""
-    coeffs = _real_if_exact(coeffs, gen)
+    coeffs = _real_if_exact(coeffs)
     return synthesize_rows(_fejer_weights(_orders(ks, gen), gen.size) * coeffs, gen)
 
 
@@ -392,7 +380,7 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     total weight (n - 1 - j)/n; coefficients at or above n - 1 drop out.
     """
     ns = _orders([n], f.gen)
-    coeffs = _real_if_exact(forward_transform(f).coeffs, f.gen)
+    coeffs = _real_if_exact(forward_transform(f).coeffs)
     weights = _fejer_weights(ns, f.gen.size)[0]
     return _synthesis(coeffs * weights, f.gen)
 

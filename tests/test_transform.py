@@ -27,14 +27,11 @@ from vilenkin import (
     vilenkin_fn,
 )
 
-from vilenkin import transform
 from vilenkin.transform import (
     _BLOCK_CELLS,
     _axis_pass,
     _char_matrix,
     _digit_runs,
-    _fejer_weights,
-    _run_matrix,
     dirichlet_rows,
     fejer_kernel_rows,
     fejer_mean_rows,
@@ -441,36 +438,6 @@ def test_fejer_means_of_a_real_walsh_spectrum_take_the_same_float64_pass():
     g = GeneratorSequence.walsh(6)
     f = GridFunction(g, np.random.default_rng(3).normal(size=g.size))
     assert _assert_fejer_mean_rows_byte_equal_to_fejer_mean(f).dtype == np.float64
-
-
-# Grids whose first run matrix is complex: the large_grid bench grid
-# (cycle:2,3,4 to depth 11, then a 2), cycle:2,3,4 depth 6 and 4,2,2.
-COMPLEX_FIRST_RUN = [
-    GeneratorSequence((2, 3, 4) * 3 + (2, 3, 2)),
-    GeneratorSequence.cycle([2, 3, 4], 6),
-    GeneratorSequence((4, 2, 2)),
-]
-
-
-@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
-@pytest.mark.parametrize("g", COMPLEX_FIRST_RUN, ids=str)
-def test_fejer_means_of_real_spectra_skip_the_scan_to_the_same_bits(g, zero, monkeypatch):
-    # On these grids the spectrum is not scanned.  The oracle is the scanning
-    # path: test the imaginary part, take the real part, synthesize that.
-    assert np.iscomplexobj(_run_matrix(_digit_runs(g.m)[0], +1, False))
-    coeffs = np.empty(g.size, dtype=np.complex128)
-    coeffs.real = np.random.default_rng(g.size).normal(size=g.size)
-    coeffs.imag = zero
-    assert np.signbit(coeffs.imag).all() == np.signbit(zero)
-    ks = np.unique([1, 2, 7, g.size // 3, g.size])
-    weights = _fejer_weights(ks, g.size)
-    scanned = synthesize_rows(weights * coeffs.real, g)  # the old path
-    assert not coeffs.imag.any() and scanned.dtype == np.complex128
-    assert fejer_mean_rows(coeffs, ks, g).tobytes() == scanned.tobytes()
-    monkeypatch.setattr(transform, "forward_transform", lambda f: SpectralVector(g, coeffs))
-    f = GridFunction.constant(g, 0.0)  # its spectrum is replaced by coeffs
-    for k, row in zip(ks.tolist(), scanned):
-        assert fejer_mean(f, k).values.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize(
