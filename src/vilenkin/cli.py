@@ -27,6 +27,9 @@ from .group import GeneratorSequence, variation_table
 __all__ = ["main", "ExperimentConfig", "parse_generator", "parse_phi"]
 
 MAX_CELLS = 1 << 22  # memory budget on M_N
+# Work budget of `kernels`: lines of each of its two CSVs, nmax * M_N, at
+# up to about 60 bytes a line.  Checked before any kernel is synthesized.
+MAX_KERNEL_LINES = 1 << 20
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -316,6 +319,11 @@ def cmd_kernels(cfg: ExperimentConfig) -> int:
     nmax = _nmax(cfg, min(gen.size, 16))
     if nmax > gen.size:
         raise ConfigError(f"nmax={nmax} exceeds M_N={gen.size}")
+    if nmax * gen.size > MAX_KERNEL_LINES:
+        raise ConfigError(
+            f"nmax*M_N = {nmax}*{gen.size} = {nmax * gen.size} lines per CSV"
+            f" exceeds the budget {MAX_KERNEL_LINES}"
+        )
     header = ["n", "cell_index", "value_re", "value_im"]
     out = Path(cfg.outdir)
     orders = range(1, nmax + 1)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .group import GeneratorSequence
 
-__all__ = ["GridFunction", "integrate", "lp_quasinorm", "weak_lp", "refine"]
+__all__ = ["GridFunction", "integrate", "conditional_expectation", "lp_quasinorm", "weak_lp",
+           "refine"]
 
 Scalar = Union[int, float, complex]
 
@@ -110,6 +111,16 @@ class GridFunction:
 def integrate(f: GridFunction) -> complex:
     """Exact Haar integral: each depth-N cell has measure 1 / M_N."""
     return complex(np.mean(f.values))
+
+
+def conditional_expectation(f: GridFunction, n: int) -> GridFunction:
+    """E_n f = S_{M_n} f: f averaged over each depth-n cylinder, whose cells
+    share the index residue mod M_n."""
+    if not 0 <= n <= f.gen.depth:
+        raise ValueError(f"rank {n} out of range [0, {f.gen.depth}]")
+    Mn = f.gen.scale[n]
+    means = f.values.reshape(-1, Mn).mean(axis=0)
+    return GridFunction(f.gen, np.tile(means, f.gen.size // Mn))
 
 
 def lp_quasinorm(f: GridFunction, p: float) -> float:

@@ -18,11 +18,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .funcspace import GridFunction, lp_quasinorm
+from .funcspace import GridFunction, conditional_expectation, lp_quasinorm
 from .group import GeneratorSequence, cylinder_indices, variation
 from .identities import CheckReport
 from .transform import (
-    dirichlet,
     fejer_kernel,
     fejer_mean,
     fejer_mean_rows,
@@ -52,20 +51,6 @@ __all__ = [
 ]
 
 
-def _cell_average(values: np.ndarray, gen: GeneratorSequence, n: int) -> np.ndarray:
-    """Average the trailing axis over depth-n cylinders and broadcast back.
-
-    Cylinder mates share the index residue mod M_n, so the average is a
-    reshape-mean over the high digits.
-    """
-    Mn = gen.scale[n]
-    lead = values.shape[:-1]
-    folded = values.reshape(lead + (gen.size // Mn, Mn))
-    return np.broadcast_to(
-        folded.mean(axis=-2, keepdims=True), folded.shape
-    ).reshape(lead + (gen.size,))
-
-
 def _maximal_abs(values: np.ndarray, gen: GeneratorSequence) -> np.ndarray:
     """max_n |depth-n cylinder average| over ranks 0..N, per trailing-axis row.
 
@@ -88,13 +73,6 @@ def _maximal_abs(values: np.ndarray, gen: GeneratorSequence) -> np.ndarray:
         np.maximum(view, star[..., None, :], out=view)
         star = finer
     return star
-
-
-def conditional_expectation(f: GridFunction, n: int) -> GridFunction:
-    """Project f onto functions constant on depth-n cylinders."""
-    if not 0 <= n <= f.gen.depth:
-        raise ValueError(f"rank {n} out of range [0, {f.gen.depth}]")
-    return GridFunction(f.gen, _cell_average(f.values, f.gen, n))
 
 
 def maximal_function(f: GridFunction) -> GridFunction:
@@ -220,9 +198,12 @@ def _weight(phi: Callable[[int], float], n: int) -> float:
 
 
 def _block_atom(a: int, gen: GeneratorSequence) -> np.ndarray:
-    """Cell values of M_a * r_a * D_{M_a}."""
+    """Cell values of M_a * r_a * D_{M_a}, where D_{M_a} = M_a on the cells
+    i mod M_a = 0 and 0 elsewhere (Paley's lemma): nothing is synthesized."""
     Ma = gen.scale[a]
-    return Ma * rademacher(a, gen).values * dirichlet(Ma, gen).values
+    cylinder = np.zeros(gen.size)
+    cylinder[::Ma] = Ma
+    return Ma * rademacher(a, gen).values * cylinder
 
 
 def counterexample_martingale(

@@ -15,6 +15,10 @@ exact in both parts.  Real rows stay float64 through real run matrices and
 become complex at the first complex run: real coefficients (Dirichlet masks,
 Fejer weights, a real spectrum) synthesize Walsh rows in real arithmetic,
 and Walsh kernels have an imaginary part of exactly 0.
+
+Paley's lemma, D_{M_n} = M_n * 1_{I_n}, makes the partial sum at a scale the
+conditional expectation S_{M_n} f = E_n f, a cylinder mean: partial_sum takes
+it at every scale without a transform, and the row forms stay syntheses.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .funcspace import GridFunction, lp_quasinorm
+from .funcspace import GridFunction, conditional_expectation, lp_quasinorm
 from .group import GeneratorSequence, digit_values, to_digits
 
 __all__ = [
@@ -365,10 +369,13 @@ def partial_sum_rows(
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
-    """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f = 0."""
+    """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f = 0.  At a scale n = M_r
+    it is the cylinder mean E_r f by Paley's lemma, taken with no transform."""
+    ns = _orders([n], f.gen, low=0)
+    if ns[0] in f.gen.scale:
+        return conditional_expectation(f, f.gen.scale.index(ns[0]))
     # The one-row case of partial_sum_rows, spelled out so that f's
     # coefficients are freed before the synthesis: one grid less at peak.
-    ns = _orders([n], f.gen, low=0)
     rows = _truncated(forward_transform(f).coeffs, ns)
     return GridFunction(f.gen, synthesize_rows(rows, f.gen)[0])
 

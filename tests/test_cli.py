@@ -9,6 +9,7 @@ import pytest
 
 import vilenkin
 from vilenkin.cli import (
+    MAX_KERNEL_LINES,
     ConfigError,
     ExperimentConfig,
     main,
@@ -143,6 +144,22 @@ def test_bad_input_exits_2_naming_the_value(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err, err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_kernels_over_the_line_budget_exits_2_before_any_synthesis(tmp_path, capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a kernel was synthesized")
+
+    monkeypatch.setattr(vilenkin.transform, "dirichlet_rows", refuse)
+    monkeypatch.setattr(vilenkin.transform, "fejer_kernel_rows", refuse)
+    # 257 * 4096 lines is one kernel row over the budget of 2^20.
+    out = tmp_path / "out"
+    assert main(["kernels", "--generator", "constant:2", "--depth", "12",
+                 "--nmax", "257", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "257*4096 = 1052672" in err and str(MAX_KERNEL_LINES) in err, err
+    assert not out.exists()
 
 
 def test_phi_table_with_non_finite_value_is_config_error(tmp_path):

@@ -31,6 +31,7 @@ from vilenkin import (
 )
 from vilenkin import hardy
 from vilenkin.hardy import partial_sum_norm_profile
+from vilenkin.transform import partial_sum_rows
 
 from conftest import random_function
 
@@ -58,9 +59,11 @@ def test_conditional_expectation_of_rademacher():
 def test_conditional_expectation_matches_partial_sum_at_scales(gen, rng):
     for _ in range(5):
         f = random_function(gen, rng)
+        # The synthesis, not partial_sum, which takes this very mean.
+        coeffs = forward_transform(f).coeffs
         for n in range(gen.depth + 1):
             lhs = conditional_expectation(f, n).values
-            rhs = partial_sum(f, gen.scale[n]).values
+            rhs = partial_sum_rows(coeffs, [gen.scale[n]], gen)[0]
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -199,7 +202,7 @@ def test_assemble_single_atom():
     top = assemble_martingale(dec, g)
     levels = [conditional_expectation(top, n).values for n in range(5)]
     for n in range(5):
-        expected = partial_sum(vals, g.scale[n]).values
+        expected = partial_sum_rows(forward_transform(vals).coeffs, [g.scale[n]], g)[0]
         assert np.max(np.abs(levels[n] - expected)) < 1e-10
     # the atom enters only above its supporting rank
     assert np.max(np.abs(levels[2])) < 1e-10

@@ -7,6 +7,7 @@ from vilenkin import (
     GeneratorSequence,
     GridFunction,
     SpectralVector,
+    conditional_expectation,
     counterexample_martingale,
     cylinder_indices,
     dirichlet,
@@ -15,6 +16,7 @@ from vilenkin import (
     forward_transform,
     group_sub,
     index_point,
+    integrate,
     inverse_transform,
     lebesgue_constant,
     lp_quasinorm,
@@ -440,11 +442,13 @@ def test_fejer_means_of_a_real_walsh_spectrum_take_the_same_float64_pass():
     assert _assert_fejer_mean_rows_byte_equal_to_fejer_mean(f).dtype == np.float64
 
 
-@pytest.mark.parametrize(
-    "g",
-    [GeneratorSequence.walsh(5), GeneratorSequence.cycle([2, 3, 4], 3), GeneratorSequence((2, 67))],
-    ids=["walsh5", "cycle234x3", "2,67"],
-)
+PARTIAL_SUM_GENERATORS = [
+    GeneratorSequence.walsh(5), GeneratorSequence.cycle([2, 3, 4], 3), GeneratorSequence((2, 67)),
+]
+PARTIAL_SUM_IDS = ["walsh5", "cycle234x3", "2,67"]
+
+
+@pytest.mark.parametrize("g", PARTIAL_SUM_GENERATORS, ids=PARTIAL_SUM_IDS)
 def test_partial_sum_rows_byte_equal_to_truncated_spectrum(g):
     # Multiplying the dropped coefficients by 0 would give -0.0 wherever a
     # part is negative; for this real f the all-zero row S_0 f on 2,67 would
@@ -458,10 +462,42 @@ def test_partial_sum_rows_byte_equal_to_truncated_spectrum(g):
         kept[n:] = 0.0
         oracle = inverse_transform(SpectralVector(g, kept)).values
         assert rows[n].tobytes() == oracle.tobytes()
-        assert partial_sum(f, int(n)).values.tobytes() == oracle.tobytes()
+        single = partial_sum(f, int(n)).values
+        if n in g.scale:
+            # Paley's lemma: S_{M_r} f is the cylinder mean E_r f, which
+            # agrees with the synthesis up to round-off.
+            mean = conditional_expectation(f, g.scale.index(n)).values
+            assert single.tobytes() == mean.tobytes()
+            assert np.max(np.abs(single - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        else:
+            assert single.tobytes() == oracle.tobytes()
     for bad in ([-1], [2, g.size + 1]):
         with pytest.raises(ValueError, match=f"n={bad[-1]} out of range"):
             partial_sum_rows(coeffs, bad, g)
+
+
+@pytest.mark.parametrize("g", PARTIAL_SUM_GENERATORS, ids=PARTIAL_SUM_IDS)
+def test_partial_sum_at_the_top_scale_is_f_and_at_one_the_mean(g):
+    f = random_function(g, np.random.default_rng(2))
+    assert partial_sum(f, g.size).values.tobytes() == f.values.tobytes()
+    mean = partial_sum(f, 1).values
+    assert np.all(mean == mean[0])
+    assert abs(mean[0] - integrate(f)) <= 1e-13 * abs(integrate(f))
+
+
+@pytest.mark.parametrize("g", PARTIAL_SUM_GENERATORS, ids=PARTIAL_SUM_IDS)
+def test_partial_sum_at_a_scale_makes_no_transform(g, monkeypatch):
+    f = random_function(g, np.random.default_rng(3))
+
+    def refuse(_):
+        raise AssertionError("forward_transform called")
+
+    monkeypatch.setattr("vilenkin.transform.forward_transform", refuse)
+    for r, M in enumerate(g.scale):
+        mean = conditional_expectation(f, r).values
+        assert partial_sum(f, M).values.tobytes() == mean.tobytes()
+    with pytest.raises(AssertionError, match="forward_transform called"):
+        partial_sum(f, 3)
 
 
 @pytest.mark.parametrize("hardy", [False, True], ids=["plain", "hardy"])
