@@ -30,6 +30,13 @@ MAX_CELLS = 1 << 22  # memory budget on M_N
 # Work budget of `kernels`: lines of each of its two CSVs, nmax * M_N, at
 # up to about 60 bytes a line.  Checked before any kernel is synthesized.
 MAX_KERNEL_LINES = 1 << 20
+# Work budget of `lebesgue` and `counterexample`: synthesized cells, rows *
+# M_N (D_1..D_nmax, or the profile's sigma_1..sigma_{2 M_alpha}), checked
+# before any synthesis.  At the budget a run takes 3.0-3.5 s (lebesgue on
+# Walsh(20) and Walsh(14); counterexample on constant:3 and cycle:2,3,4 at
+# depth 9; 2-core Xeon, one BLAS thread).  The largest CI, test or bench
+# config is 2^24 cells (counterexample on Walsh(12), ranks up to 11).
+MAX_SYNTH_CELLS = 1 << 26
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -245,6 +252,16 @@ def _params_str(params) -> str:
     return ";".join(f"{k}={v}" for k, v in params.items())
 
 
+def _check_synth_cells(figure: str, rows: int, gen: GeneratorSequence) -> None:
+    """Refuse a run that would synthesize more than MAX_SYNTH_CELLS cells."""
+    cells = rows * gen.size
+    if cells > MAX_SYNTH_CELLS:
+        raise ConfigError(
+            f"{figure} = {rows}*{gen.size} = {cells} synthesized cells"
+            f" exceeds the budget {MAX_SYNTH_CELLS}"
+        )
+
+
 def _nmax(cfg: ExperimentConfig, default: int) -> int:
     if cfg.nmax is None:
         return default
@@ -340,6 +357,7 @@ def cmd_lebesgue(cfg: ExperimentConfig) -> int:
     nmax = _nmax(cfg, min(gen.size, 64))
     if nmax > gen.size:
         raise ConfigError(f"nmax={nmax} exceeds M_N={gen.size}")
+    _check_synth_cells("nmax*M_N", nmax, gen)
     rows = [
         [str(n), _fmt(lp_quasinorm(GridFunction(gen, row), 1.0))]
         for ns, block in transform.dirichlet_rows(range(1, nmax + 1), gen)
@@ -373,8 +391,9 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
     phi = cfg.build_phi()
     alphas = cfg.build_alphas(gen, phi)
-    ce = hardy.counterexample_martingale(phi, alphas, gen)
     nmax = 2 * gen.scale[alphas[-1]]
+    _check_synth_cells(f"2*M_{alphas[-1]}*M_N", nmax, gen)
+    ce = hardy.counterexample_martingale(phi, alphas, gen)
     profile = hardy.sigma_norm_profile(ce.function, nmax)
     cumulative = np.cumsum(profile)
     # totals[k] = v(0) + ... + v(k), with v(0) = 0.

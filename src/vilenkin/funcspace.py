@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import IO, Union
+from dataclasses import dataclass, field
+from typing import IO, TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from .group import GeneratorSequence
+
+if TYPE_CHECKING:
+    from .transform import SpectralVector
 
 __all__ = ["GridFunction", "integrate", "conditional_expectation", "lp_quasinorm", "weak_lp",
            "refine"]
@@ -24,10 +27,22 @@ Scalar = Union[int, float, complex]
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A complex step function constant on depth-N cylinders."""
+    """A complex step function constant on depth-N cylinders.
+
+    A GridFunction's values never change: ``values`` is marked read-only,
+    so ``transform.forward_transform`` computes the spectrum once and keeps
+    it in ``_spectrum`` for as long as the function lives.  The one way to
+    break the rule is to write through another writable view of the same
+    buffer, made before the function.  The values are not copied to close
+    that gap: a synthesis hands over a reshape view of its fresh result, and
+    a copy would cost a grid per synthesis.
+    """
 
     gen: GeneratorSequence
     values: np.ndarray
+    _spectrum: Optional[SpectralVector] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)

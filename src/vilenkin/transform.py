@@ -19,6 +19,11 @@ and Walsh kernels have an imaginary part of exactly 0.
 Paley's lemma, D_{M_n} = M_n * 1_{I_n}, makes the partial sum at a scale the
 conditional expectation S_{M_n} f = E_n f, a cylinder mean: partial_sum takes
 it at every scale without a transform, and the row forms stay syntheses.
+
+Every other operator here is a multiplier on one spectrum, and a
+GridFunction's values never change, so forward_transform analyses a function
+at most once and keeps its SpectralVector on it: the means, partial sums and
+profiles of one f share a single analysis pass.
 """
 
 from __future__ import annotations
@@ -168,8 +173,16 @@ def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndar
 
 
 def forward_transform(f: GridFunction) -> SpectralVector:
-    """Fast analysis: coeffs[j] = (1/M_N) * sum_x f(x) * conj(psi_j(x))."""
-    return SpectralVector(f.gen, _axis_pass(f.values, f.gen, -1) / f.gen.size)
+    """Fast analysis: coeffs[j] = (1/M_N) * sum_x f(x) * conj(psi_j(x)).
+
+    The spectrum is computed on the first call and kept on f, so every later
+    call on the same f returns that same SpectralVector.
+    """
+    spec = f._spectrum
+    if spec is None:
+        spec = SpectralVector(f.gen, _axis_pass(f.values, f.gen, -1) / f.gen.size)
+        object.__setattr__(f, "_spectrum", spec)
+    return spec
 
 
 def inverse_transform(spec: SpectralVector) -> GridFunction:
@@ -374,10 +387,8 @@ def partial_sum(f: GridFunction, n: int) -> GridFunction:
     ns = _orders([n], f.gen, low=0)
     if ns[0] in f.gen.scale:
         return conditional_expectation(f, f.gen.scale.index(ns[0]))
-    # The one-row case of partial_sum_rows, spelled out so that f's
-    # coefficients are freed before the synthesis: one grid less at peak.
-    rows = _truncated(forward_transform(f).coeffs, ns)
-    return GridFunction(f.gen, synthesize_rows(rows, f.gen)[0])
+    coeffs = forward_transform(f).coeffs
+    return GridFunction(f.gen, partial_sum_rows(coeffs, ns, f.gen)[0])
 
 
 def fejer_mean(f: GridFunction, n: int) -> GridFunction:

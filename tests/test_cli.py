@@ -10,6 +10,7 @@ import pytest
 import vilenkin
 from vilenkin.cli import (
     MAX_KERNEL_LINES,
+    MAX_SYNTH_CELLS,
     ConfigError,
     ExperimentConfig,
     main,
@@ -160,6 +161,49 @@ def test_kernels_over_the_line_budget_exits_2_before_any_synthesis(tmp_path, cap
     assert err.startswith("config error:")
     assert "257*4096 = 1052672" in err and str(MAX_KERNEL_LINES) in err, err
     assert not out.exists()
+
+
+def refuse_synthesis(monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(vilenkin.transform, "dirichlet_rows", refuse)
+    monkeypatch.setattr(vilenkin.hardy, "sigma_norm_profile", refuse)
+    monkeypatch.setattr(vilenkin.hardy, "counterexample_martingale", refuse)
+
+
+@pytest.mark.parametrize("argv, figure", [
+    # the default nmax = 64 at the largest depth MAX_CELLS admits
+    (["lebesgue", "--generator", "constant:2", "--depth", "22"],
+     "nmax*M_N = 64*4194304 = 268435456"),
+    (["lebesgue", "--generator", "constant:2", "--depth", "20", "--nmax", "65"],
+     "nmax*M_N = 65*1048576 = 68157440"),
+    (["counterexample", "--generator", "constant:2", "--depth", "22", "--phi", "const:1",
+      "--alphas", "4,12,21"], "2*M_21*M_N = 4194304*4194304 = 17592186044416"),
+    (["counterexample", "--generator", "constant:2", "--depth", "14", "--phi", "const:1",
+      "--alphas", "4,8,12"], "2*M_12*M_N = 8192*16384 = 134217728"),
+])
+def test_over_the_cell_budget_exits_2_before_any_synthesis(
+    tmp_path, capsys, monkeypatch, argv, figure
+):
+    refuse_synthesis(monkeypatch)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert figure in err and f"budget {MAX_SYNTH_CELLS}" in err, err
+    assert not out.exists()
+
+
+def test_cell_budget_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(vilenkin.cli, "MAX_SYNTH_CELLS", 8 * 16)
+    base = ["--generator", "constant:2", "--depth", "4", "--out", str(tmp_path)]
+    assert main(["lebesgue", "--nmax", "8", *base]) == 0
+    assert main(["lebesgue", "--nmax", "9", *base]) == 2
+    # 2*M_2 = 8 profile rows of 16 cells
+    ce = ["counterexample", "--phi", "const:1", *base]
+    assert main([*ce, "--alphas", "1,2"]) == 0
+    assert main([*ce, "--alphas", "1,3"]) == 2
 
 
 def test_phi_table_with_non_finite_value_is_config_error(tmp_path):

@@ -25,9 +25,11 @@ from vilenkin import (
     point_index,
     rademacher,
     sigma_norm_profile,
+    strong_sums,
     synthesize,
     vilenkin_fn,
 )
+from vilenkin import transform
 
 from vilenkin.transform import (
     _BLOCK_CELLS,
@@ -635,3 +637,86 @@ def test_lebesgue_walsh_hand_values():
 def test_spectral_vector_validation():
     with pytest.raises(ValueError):
         SpectralVector(WALSH, np.ones(3))
+
+
+# --- the kept spectrum -------------------------------------------------------
+
+
+MEMO_GENERATORS = [GeneratorSequence.walsh(6), GeneratorSequence.cycle([2, 3, 4], 5)]
+MEMO_IDS = ["walsh6", "cycle234x5"]
+
+
+def count_axis_passes(monkeypatch):
+    calls = []
+    axis_pass = transform._axis_pass
+
+    def counted(values, gen, sign):
+        calls.append(sign)
+        return axis_pass(values, gen, sign)
+
+    monkeypatch.setattr(transform, "_axis_pass", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g", MEMO_GENERATORS, ids=MEMO_IDS)
+def test_forward_transform_is_kept_on_its_function(g):
+    f = random_function(g, np.random.default_rng(5))
+    spec = forward_transform(f)
+    assert forward_transform(f) is spec
+    # A function built on the same values is a new function: analysed anew.
+    other = GridFunction(g, f.values)
+    assert forward_transform(other) is not spec
+    assert forward_transform(other).coeffs.tobytes() == spec.coeffs.tobytes()
+
+
+def test_fejer_mean_reuses_the_kept_spectrum(monkeypatch):
+    g = GeneratorSequence.cycle([2, 3, 4], 5)
+    calls = count_axis_passes(monkeypatch)
+    cold = random_function(g, np.random.default_rng(6))
+    fejer_mean(cold, 100)
+    assert len(calls) == 2
+    warm = random_function(g, np.random.default_rng(6))
+    forward_transform(warm)
+    calls.clear()
+    fejer_mean(warm, 100)
+    assert calls == [+1]
+    fejer_mean(warm, 37)
+    partial_sum(warm, 37)
+    assert calls == [+1, +1, +1]
+
+
+WARM_COLD_OPERATIONS = {
+    "fejer_mean": lambda f: fejer_mean(f, f.gen.size // 2 + 1).values,
+    "partial_sum": lambda f: partial_sum(f, f.gen.size // 2 + 1).values,
+    "sigma_norm_profile": lambda f: sigma_norm_profile(f, f.gen.size),
+    "sigma_norm_profile_hardy": lambda f: sigma_norm_profile(f, f.gen.size, hardy=True),
+    "simon": lambda f: np.float64(strong_sums(f, f.gen.size, mode="simon")),
+    "gat": lambda f: np.float64(strong_sums(f, f.gen.size, mode="gat")),
+}
+
+
+@pytest.mark.parametrize("op", WARM_COLD_OPERATIONS)
+@pytest.mark.parametrize("g", MEMO_GENERATORS, ids=MEMO_IDS)
+def test_warm_and_cold_results_byte_identical(g, op):
+    f = random_function(g, np.random.default_rng(7))
+    forward_transform(f)
+    cold = GridFunction(g, f.values.copy())
+    assert cold._spectrum is None
+    run = WARM_COLD_OPERATIONS[op]
+    assert run(f).tobytes() == run(cold).tobytes()
+
+
+def test_grid_function_values_are_read_only():
+    f = random_function(WALSH, np.random.default_rng(8))
+    with pytest.raises(ValueError):
+        f.values[0] = 1.0
+
+
+def test_repr_and_equality_ignore_the_kept_spectrum():
+    f = random_function(WALSH, np.random.default_rng(9))
+    same = GridFunction(WALSH, f.values)
+    text = repr(f)
+    assert f == same
+    forward_transform(f)
+    assert repr(f) == text == repr(same)
+    assert f == same and same == f
