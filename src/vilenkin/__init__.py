@@ -6,7 +6,13 @@ martingale Hardy-space quasi-norms, executable kernel-identity checks, and
 the strong-convergence experiments built on top of them.
 """
 
-from .funcspace import GridFunction, integrate, lp_quasinorm, refine, weak_lp
+from .funcspace import (
+    GridFunction,
+    conditional_expectation,
+    integrate,
+    lp_quasinorm,
+    weak_lp,
+)
 from .group import (
     DigitExpansion,
     GeneratorSequence,
@@ -15,27 +21,21 @@ from .group import (
     group_add,
     group_sub,
     index_point,
-    nonzero_blocks,
     point_index,
     scale_factors,
     to_digits,
     variation,
-    variation_star,
     variation_table,
 )
 from .hardy import (
     Atom,
-    AtomicDecomposition,
     CounterexampleMartingale,
-    assemble_martingale,
-    conditional_expectation,
     counterexample_martingale,
     function_hardy_quasinorm,
     is_p_atom,
     maximal_function,
     select_alphas,
     sigma_norm_profile,
-    sigma_split_check,
     strong_sums,
 )
 from .identities import CheckReport

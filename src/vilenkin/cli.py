@@ -30,9 +30,10 @@ MAX_CELLS = 1 << 22  # memory budget on M_N
 # Work budget of `kernels`: lines of each of its two CSVs, nmax * M_N, at
 # up to about 60 bytes a line.  Checked before any kernel is synthesized.
 MAX_KERNEL_LINES = 1 << 20
-# Work budget of `lebesgue` and `counterexample`: synthesized cells, rows *
-# M_N (D_1..D_nmax, or the profile's sigma_1..sigma_{2 M_alpha}), checked
-# before any synthesis.  At the budget a run takes 3.0-3.5 s (lebesgue on
+# Work budget of `lebesgue`, `counterexample` and `verify`: synthesized
+# cells, rows * M_N (D_1..D_nmax, the profile's sigma_1..sigma_{2 M_alpha},
+# or the shift checks' D_1..D_{2 M_alpha} over every alpha), checked before
+# any synthesis.  At the budget a run takes 3.0-3.5 s (lebesgue on
 # Walsh(20) and Walsh(14); counterexample on constant:3 and cycle:2,3,4 at
 # depth 9; 2-core Xeon, one BLAS thread).  The largest CI, test or bench
 # config is 2^24 cells (counterexample on Walsh(12), ranks up to 11).
@@ -210,7 +211,10 @@ class ExperimentConfig:
                 raise ConfigError(f"bad alphas spec {spec!r}: {exc}") from exc
             if count < 1:
                 raise ConfigError(f"bad alphas spec {spec!r}: count must be >= 1")
-            ranks = hardy.select_alphas(phi, count, gen, threshold)
+            try:
+                ranks = hardy.select_alphas(phi, count, gen, threshold)
+            except ValueError as exc:
+                raise ConfigError(f"bad alphas spec {spec!r}: {exc}") from exc
             if len(ranks) < count:
                 raise ConfigError(
                     f"greedy selection found only {len(ranks)} of {count} ranks"
@@ -279,6 +283,9 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"tol={cfg.tol} must be finite and >= 0")
     if cfg.seed < 0:
         raise ConfigError(f"seed={cfg.seed} must be >= 0")
+    # The shift checks stream D_1..D_{2 M_alpha} for every 2 M_alpha <= M_N.
+    shift_rows = sum(2 * M for M in gen.scale[:-1] if 2 * M <= gen.size)
+    _check_synth_cells("(sum_alpha 2*M_alpha)*M_N", shift_rows, gen)
     rng = np.random.default_rng(cfg.seed)
     reports = identities.run_suite(gen, rng, tol=cfg.tol)
     rows = [

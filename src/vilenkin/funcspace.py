@@ -7,10 +7,9 @@ L_p / weak-L_p quasi-norms are exact for such step functions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from .group import GeneratorSequence
 if TYPE_CHECKING:
     from .transform import SpectralVector
 
-__all__ = ["GridFunction", "integrate", "conditional_expectation", "lp_quasinorm", "weak_lp",
-           "refine"]
+__all__ = ["GridFunction", "integrate", "conditional_expectation", "lp_quasinorm", "weak_lp"]
 
 Scalar = Union[int, float, complex]
 
@@ -90,38 +88,6 @@ class GridFunction:
     def __neg__(self) -> "GridFunction":
         return GridFunction(self.gen, -self.values)
 
-    # serialization --------------------------------------------------------
-
-    def to_csv(self, stream: IO[str]) -> None:
-        """Write rows (index, real, imag)."""
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(["index", "real", "imag"])
-        for i, v in enumerate(self.values):
-            w.writerow([i, format(v.real, ".17g"), format(v.imag, ".17g")])
-
-    @classmethod
-    def from_csv(cls, gen: GeneratorSequence, stream: IO[str]) -> "GridFunction":
-        r = csv.reader(stream)
-        header = next(r)
-        if header[:3] != ["index", "real", "imag"]:
-            raise ValueError(f"unexpected header {header}")
-        v = np.zeros(gen.size, dtype=np.complex128)
-        seen = np.zeros(gen.size, dtype=bool)
-        for row in r:
-            i = int(row[0])
-            if not 0 <= i < gen.size:
-                raise ValueError(f"row index {i} out of range [0, {gen.size})")
-            if seen[i]:
-                raise ValueError(f"duplicate row index {i}")
-            seen[i] = True
-            v[i] = float(row[1]) + 1j * float(row[2])
-        missing = np.flatnonzero(~seen)
-        if missing.size:
-            raise ValueError(
-                f"missing row index {missing[0]} ({missing.size} of {gen.size} missing)"
-            )
-        return cls(gen, v)
-
 
 def integrate(f: GridFunction) -> complex:
     """Exact Haar integral: each depth-N cell has measure 1 / M_N."""
@@ -165,15 +131,3 @@ def weak_lp(f: GridFunction, p: float) -> float:
     pos = v > 0
     measure = (mag.size - first[pos]) / mag.size
     return float(np.max(v[pos] ** p * measure, initial=0.0))
-
-
-def refine(f: GridFunction, gen: GeneratorSequence) -> GridFunction:
-    """Re-express f on a deeper grid whose generator extends f's.
-
-    New digits sit above the old ones in the index, so the cell values are
-    tiled; integrals and every quasi-norm are unchanged.
-    """
-    if gen.m[: f.gen.depth] != f.gen.m:
-        raise ValueError("refinement generator must extend the original")
-    reps = gen.size // f.gen.size
-    return GridFunction(gen, np.tile(f.values, reps))

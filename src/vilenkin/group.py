@@ -28,9 +28,7 @@ __all__ = [
     "index_point",
     "cylinder_indices",
     "variation",
-    "variation_star",
     "variation_table",
-    "nonzero_blocks",
     "digit_values",
 ]
 
@@ -197,35 +195,3 @@ def variation_table(count: int, gen: GeneratorSequence) -> np.ndarray:
     for lower, upper in zip(signs, signs[1:]):
         table += lower != upper
     return table
-
-
-def variation_star(n: int, gen: GeneratorSequence) -> int:
-    """v*(n) = sum_j |(-n_j mod m_j) - 1| * sign(n_j), taken literally.
-
-    For binary digits this term is the indicator of n_j not in {0, m_j - 1};
-    for larger bases the literal value can exceed 1.
-    """
-    exp = to_digits(n, gen)
-    total = 0
-    for d, b in zip(exp.digits, gen.m):
-        if d:
-            total += abs((-d) % b - 1)
-    return total
-
-
-def nonzero_blocks(n: int, gen: GeneratorSequence) -> list[tuple[int, int]]:
-    """Maximal runs (l, r) of consecutive nonzero digit positions of n.
-
-    Blocks are returned in increasing position order; maximality forces
-    successive blocks to satisfy l_{i+1} >= r_i + 2.
-    """
-    exp = to_digits(n, gen)
-    blocks: list[tuple[int, int]] = []
-    start = None
-    for j, d in enumerate(exp.digits + (0,)):
-        if d and start is None:
-            start = j
-        elif not d and start is not None:
-            blocks.append((start, j - 1))
-            start = None
-    return blocks

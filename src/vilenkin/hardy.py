@@ -5,9 +5,9 @@ cylinders.  On this filtration a martingale is its top level f: level n is
 always E_n f = conditional_expectation(f, n), so a martingale is stored as
 one GridFunction and its levels are never kept.  The maximal function
 sup_n |E_n f| defines the H_p quasi-norm.  This module also provides
-p-atoms, atomic assembly, the weighted strong-convergence sums of Fejer
-means and partial sums, and the explicit atomic martingale whose Fejer
-means make the unweighted strong sum diverge.
+p-atoms, the weighted strong-convergence sums of Fejer means and partial
+sums, and the explicit atomic martingale whose Fejer means make the
+unweighted strong sum diverge.
 """
 
 from __future__ import annotations
@@ -18,36 +18,27 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .funcspace import GridFunction, conditional_expectation, lp_quasinorm
-from .group import GeneratorSequence, cylinder_indices, variation
-from .identities import CheckReport
+from .funcspace import GridFunction, lp_quasinorm
+from .group import GeneratorSequence, cylinder_indices
 from .transform import (
-    fejer_kernel,
-    fejer_mean,
     fejer_mean_rows,
     forward_transform,
-    partial_sum,
     partial_sum_rows,
     rademacher,
     synthesize_rows,
-    vilenkin_fn,
 )
 
 __all__ = [
     "Atom",
-    "AtomicDecomposition",
-    "conditional_expectation",
     "maximal_function",
     "function_hardy_quasinorm",
     "is_p_atom",
-    "assemble_martingale",
     "CounterexampleMartingale",
     "counterexample_martingale",
     "select_alphas",
     "strong_sums",
     "sigma_norm_profile",
     "partial_sum_norm_profile",
-    "sigma_split_check",
 ]
 
 
@@ -87,12 +78,12 @@ def function_hardy_quasinorm(f: GridFunction, p: float) -> float:
 
 @dataclass(frozen=True)
 class Atom:
-    """A p-atom: mean zero on its cylinder, bounded by mu(I)^{-1/p}."""
+    """An atom on the rank-``rank`` cylinder of ``base``; ``is_p_atom``
+    checks it is a p-atom: mean zero there, bounded by mu(I)^{-1/p}."""
 
     values: GridFunction
     rank: int
     base: tuple[int, ...]
-    exponent: float
 
 
 def is_p_atom(
@@ -118,36 +109,6 @@ def is_p_atom(
     return all(checks.values()), checks
 
 
-@dataclass(frozen=True)
-class AtomicDecomposition:
-    """Coefficients mu_k and p-atoms a_k assembling a martingale."""
-
-    coefficients: tuple[float, ...]
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != len(self.atoms):
-            raise ValueError("one coefficient per atom")
-
-    def coefficient_quasinorm(self, p: float) -> float:
-        if not 0 < p < math.inf:
-            raise ValueError(f"p must be positive and finite, got {p}")
-        return float(sum(abs(c) ** p for c in self.coefficients) ** (1.0 / p))
-
-
-def assemble_martingale(
-    dec: AtomicDecomposition, gen: GeneratorSequence
-) -> GridFunction:
-    """The top level sum_k mu_k a_k; its level n is sum_k mu_k S_{M_n} a_k."""
-    for atom in dec.atoms:
-        if atom.values.gen != gen:
-            raise ValueError("atoms must live on the target grid")
-    total = np.zeros(gen.size, dtype=np.complex128)
-    for c, atom in zip(dec.coefficients, dec.atoms):
-        total += c * atom.values.values
-    return GridFunction(gen, total)
-
-
 # --- the divergence construction ---------------------------------------------
 
 
@@ -169,7 +130,7 @@ class CounterexampleMartingale:
         """The atoms a_k, built on demand (each is a full grid)."""
         base = (0,) * self.gen.depth
         return tuple(
-            Atom(GridFunction(self.gen, _block_atom(a, self.gen)), a, base, 0.5)
+            Atom(GridFunction(self.gen, _block_atom(a, self.gen)), a, base)
             for a in self.alphas
         )
 
@@ -180,13 +141,6 @@ class CounterexampleMartingale:
             Ma = self.gen.scale[a]
             coeffs[Ma : 2 * Ma] = Ma * lam
         return coeffs
-
-    def active_block(self, n: int) -> int:
-        """Index k with M_{alpha_k} <= n < 2 M_{alpha_k}, or -1."""
-        for k, a in enumerate(self.alphas):
-            if self.gen.scale[a] <= n < 2 * self.gen.scale[a]:
-                return k
-        return -1
 
 
 def _weight(phi: Callable[[int], float], n: int) -> float:
@@ -246,6 +200,8 @@ def select_alphas(
     Returns as many ranks as fit in the depth budget; a short list means
     the weight grows too fast for the requested count at this depth.
     """
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold={threshold} must be finite and > 0")
     out: list[int] = []
     prev = 0
     for k in range(1, count + 1):
@@ -408,52 +364,3 @@ def strong_sums(
         )
         return float(np.sum(terms / k) / math.log(n))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def sigma_split_check(
-    ce: CounterexampleMartingale, n: int, tol: float = 1e-9
-) -> CheckReport:
-    """Split sigma_n f into the low-block mean, the frozen partial sum, and
-    the modulated Fejer kernel of the active block, and compare with the
-    direct Fejer mean.
-
-    For M_a <= n < 2 M_a the partial sums inside the block satisfy
-    S_j f = S_{M_a} f + lambda_k M_a psi_{M_a} D_{j - M_a}, so
-
-        sigma_n f = (M_a/n) sigma_{M_a} f
-                  + ((n - M_a)/n) S_{M_a} f
-                  + lambda_k M_a ((n - M_a)/n) psi_{M_a} K_{n - M_a}.
-
-    Also reports the L_{1/2} mass of the kernel part against
-    lambda_k^{1/2} * v(n - M_a).
-    """
-    k = ce.active_block(n)
-    if k < 0:
-        raise ValueError(f"n={n} lies in no active frequency block")
-    gen = ce.gen
-    a = ce.alphas[k]
-    lam = ce.lambdas[k]
-    Ma = gen.scale[a]
-    f = ce.function
-    direct = fejer_mean(f, n)
-    part_low = (Ma / n) * fejer_mean(f, Ma)
-    part_frozen = ((n - Ma) / n) * partial_sum(f, Ma)
-    if n > Ma:
-        kern = fejer_kernel(n - Ma, gen)
-        part_kernel = (lam * Ma * (n - Ma) / n) * (
-            GridFunction(gen, vilenkin_fn(Ma, gen).values) * kern
-        )
-    else:
-        part_kernel = GridFunction.constant(gen, 0.0)
-    recon = part_low + part_frozen + part_kernel
-    dev = float(np.max(np.abs(direct.values - recon.values)))
-    mass = float(np.mean(np.sqrt(np.abs(part_kernel.values))))
-    var = variation(n - Ma, gen) if n > Ma else 0
-    ratio = mass / (math.sqrt(lam) * var) if var else float("nan")
-    return CheckReport.deviation(
-        "sigma_split",
-        {"n": n, "k": k, "alpha": a},
-        dev,
-        tol,
-        note=f"kernel_mass={mass:.6g};variation={var};ratio={ratio:.6g}",
-    )

@@ -135,6 +135,14 @@ BAD_INPUTS = [
       "--alphas", "greedy:0"], "'greedy:0'"),
     (["counterexample", "--generator", "constant:2", "--depth", "8",
       "--alphas", "greedy:-1"], "'greedy:-1'"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--alphas", "greedy:2:nan"], "'greedy:2:nan': threshold=nan"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--alphas", "greedy:2:inf"], "'greedy:2:inf': threshold=inf"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--alphas", "greedy:2:-1"], "'greedy:2:-1': threshold=-1.0"),
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--alphas", "greedy:2:0"], "'greedy:2:0': threshold=0.0"),
 ]
 
 
@@ -170,6 +178,7 @@ def refuse_synthesis(monkeypatch):
     monkeypatch.setattr(vilenkin.transform, "dirichlet_rows", refuse)
     monkeypatch.setattr(vilenkin.hardy, "sigma_norm_profile", refuse)
     monkeypatch.setattr(vilenkin.hardy, "counterexample_martingale", refuse)
+    monkeypatch.setattr(vilenkin.identities, "run_suite", refuse)
 
 
 @pytest.mark.parametrize("argv, figure", [
@@ -182,6 +191,9 @@ def refuse_synthesis(monkeypatch):
       "--alphas", "4,12,21"], "2*M_21*M_N = 4194304*4194304 = 17592186044416"),
     (["counterexample", "--generator", "constant:2", "--depth", "14", "--phi", "const:1",
       "--alphas", "4,8,12"], "2*M_12*M_N = 8192*16384 = 134217728"),
+    # the shift checks stream 2*M_alpha rows for alpha = 0..21
+    (["verify", "--generator", "constant:2", "--depth", "22"],
+     "(sum_alpha 2*M_alpha)*M_N = 8388606*4194304 = 35184363700224"),
 ])
 def test_over_the_cell_budget_exits_2_before_any_synthesis(
     tmp_path, capsys, monkeypatch, argv, figure

@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 
@@ -13,7 +12,6 @@ from vilenkin import (
     cylinder_indices,
     integrate,
     lp_quasinorm,
-    refine,
     vilenkin_fn,
     weak_lp,
 )
@@ -151,27 +149,6 @@ def test_lp_large_exponent_does_not_overflow():
     assert lp_quasinorm(GridFunction.constant(WALSH, 0.0), 700.0) == 0.0
 
 
-def test_refine_identity(gen, rng):
-    f = random_function(gen, rng)
-    assert np.array_equal(refine(f, gen).values, f.values)
-
-
-def test_refine_preserves_integral_and_norms(gen, rng):
-    deeper = GeneratorSequence(gen.m + (2, 3))
-    f = random_function(gen, rng)
-    g = refine(f, deeper)
-    assert integrate(g) == pytest.approx(integrate(f))
-    for p in (0.5, 1.0, 2.0):
-        assert lp_quasinorm(g, p) == pytest.approx(lp_quasinorm(f, p))
-        assert weak_lp(g, p) == pytest.approx(weak_lp(f, p))
-
-
-def test_refine_rejects_mismatched_prefix():
-    f = GridFunction.constant(WALSH, 1.0)
-    with pytest.raises(ValueError):
-        refine(f, GeneratorSequence((2, 3, 2, 2)))
-
-
 def test_quasi_triangle_half(gen, rng):
     for _ in range(20):
         f = random_function(gen, rng)
@@ -192,30 +169,6 @@ def test_arithmetic_and_validation():
         GridFunction(WALSH, np.array([np.nan] * 8))
     with pytest.raises(ValueError):
         f + GridFunction.constant(GeneratorSequence((2, 2)), 1.0)
-
-
-def test_csv_round_trip(gen, rng):
-    f = random_function(gen, rng)
-    buf = io.StringIO()
-    f.to_csv(buf)
-    buf.seek(0)
-    g = GridFunction.from_csv(gen, buf)
-    assert np.max(np.abs(f.values - g.values)) < 1e-15
-
-
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        ([0, 1, 2, 3, 4, 5, 6], "missing row index 7"),
-        ([0, 1, 2, 3, 4, 5, 6, 7, 3], "duplicate row index 3"),
-        ([0, 1, 2, 3, 4, 5, 6, 8], "row index 8 out of range"),
-        ([-1, 0, 1, 2, 3, 4, 5, 6], "row index -1 out of range"),
-    ],
-)
-def test_csv_refuses_bad_row_indices(rows, message):
-    text = "index,real,imag\n" + "".join(f"{i},1,0\n" for i in rows)
-    with pytest.raises(ValueError, match=message):
-        GridFunction.from_csv(WALSH, io.StringIO(text))
 
 
 @given(st.floats(min_value=0.25, max_value=4.0))

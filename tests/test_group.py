@@ -10,12 +10,10 @@ from vilenkin import (
     group_add,
     group_sub,
     index_point,
-    nonzero_blocks,
     point_index,
     scale_factors,
     to_digits,
     variation,
-    variation_star,
     variation_table,
 )
 
@@ -136,13 +134,6 @@ def test_cylinder_rejects_deep_rank():
 def test_variation_examples():
     assert variation(5, WALSH) == 4
     assert variation(0, WALSH) == 0
-    assert variation_star(0, WALSH) == 0
-
-
-def test_variation_star_literal_ternary():
-    g = GeneratorSequence.constant(3, 2)
-    # digit 1 in base 3: |(-1 mod 3) - 1| = |2 - 1| = 1
-    assert variation_star(1, g) == 1
 
 
 def test_walsh_variation_average_goldens():
@@ -172,29 +163,6 @@ def test_variation_table_rejects_out_of_range_count():
         variation_table(9, WALSH)
     with pytest.raises(ValueError, match="count=-1"):
         variation_table(-1, WALSH)
-
-
-def test_nonzero_blocks_scattered():
-    g = GeneratorSequence.walsh(7)
-    n = sum(g.scale[j] for j in (0, 1, 3, 4, 6))
-    assert nonzero_blocks(n, g) == [(0, 1), (3, 4), (6, 6)]
-
-
-def test_nonzero_blocks_single_digit():
-    g = GeneratorSequence.walsh(5)
-    assert nonzero_blocks(g.scale[3], g) == [(3, 3)]
-    assert nonzero_blocks(g.scale[0] + g.scale[1], g) == [(0, 1)]
-    assert nonzero_blocks(0, g) == []
-
-
-def test_nonzero_blocks_gap_invariant(gen):
-    for n in range(1, gen.size):
-        blocks = nonzero_blocks(n, gen)
-        digits = to_digits(n, gen).digits
-        for (l, r) in blocks:
-            assert all(digits[j] for j in range(l, r + 1))
-        for (_, r1), (l2, _) in zip(blocks, blocks[1:]):
-            assert l2 >= r1 + 2
 
 
 @given(st.integers(min_value=0, max_value=2**18 - 1))

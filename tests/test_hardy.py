@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from vilenkin import (
-    Atom,
-    AtomicDecomposition,
     GeneratorSequence,
     GridFunction,
-    assemble_martingale,
     conditional_expectation,
     counterexample_martingale,
-    cylinder_indices,
     dirichlet,
     fejer_mean,
     forward_transform,
@@ -25,7 +21,6 @@ from vilenkin import (
     rademacher,
     select_alphas,
     sigma_norm_profile,
-    sigma_split_check,
     strong_sums,
     vilenkin_fn,
 )
@@ -193,54 +188,6 @@ def test_atom_mean_violation_diagnosed():
     ok, checks = is_p_atom(a, 2, (0,) * 4, 0.5)
     assert not ok
     assert not checks["mean_zero"]
-
-
-def test_assemble_single_atom():
-    g = GeneratorSequence.walsh(4)
-    vals = GridFunction(g, 4.0 * (dirichlet(8, g).values - dirichlet(4, g).values))
-    dec = AtomicDecomposition((1.0,), (Atom(vals, 2, (0,) * 4, 0.5),))
-    top = assemble_martingale(dec, g)
-    levels = [conditional_expectation(top, n).values for n in range(5)]
-    for n in range(5):
-        expected = partial_sum_rows(forward_transform(vals).coeffs, [g.scale[n]], g)[0]
-        assert np.max(np.abs(levels[n] - expected)) < 1e-10
-    # the atom enters only above its supporting rank
-    assert np.max(np.abs(levels[2])) < 1e-10
-    assert np.max(np.abs(levels[3] - vals.values)) < 1e-10
-
-
-def test_assemble_empty_decomposition():
-    dec = AtomicDecomposition((), ())
-    top = assemble_martingale(dec, WALSH)
-    for n in range(WALSH.depth + 1):
-        assert np.allclose(conditional_expectation(top, n).values, 0.0)
-
-
-def test_assembled_norm_against_coefficients(rng):
-    # quasi-norm of the assembled martingale is controlled by the atom
-    # coefficients; record the empirical constant and require it modest
-    g = GeneratorSequence.walsh(6)
-    atoms, coefs = [], []
-    for alpha, c in ((1, 0.8), (3, 0.3), (4, 0.1)):
-        Ma = g.scale[alpha]
-        vals = GridFunction(
-            g, Ma * rademacher(alpha, g).values * dirichlet(Ma, g).values
-        )
-        ok, _ = is_p_atom(vals, alpha, (0,) * 6, 0.5)
-        assert ok
-        atoms.append(Atom(vals, alpha, (0,) * 6, 0.5))
-        coefs.append(c)
-    dec = AtomicDecomposition(tuple(coefs), tuple(atoms))
-    top = assemble_martingale(dec, g)
-    ratio = function_hardy_quasinorm(top, 0.5) / dec.coefficient_quasinorm(0.5)
-    assert ratio < 4.0
-
-
-@pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
-def test_coefficient_quasinorm_refuses_bad_exponent(p):
-    dec = AtomicDecomposition((), ())
-    with pytest.raises(ValueError, match=f"got {p}"):
-        dec.coefficient_quasinorm(p)
 
 
 # --- the counterexample construction ----------------------------------------
@@ -658,42 +605,3 @@ def test_weighted_ratio_stays_bounded_across_depth():
                     )
         worst_by_depth.append(worst)
     assert max(worst_by_depth) < 2.0
-
-
-# --- the Fejer-mean split in an active block --------------------------------
-
-
-def test_sigma_split_at_window_edge():
-    g = GeneratorSequence.walsh(8)
-    ce = counterexample_martingale(ONE, [3, 6], g)
-    r = sigma_split_check(ce, 8)
-    assert r.passed and r.value < 1e-9
-
-
-def test_sigma_split_inside_window():
-    g = GeneratorSequence.walsh(8)
-    ce = counterexample_martingale(ONE, [3, 6], g)
-    r = sigma_split_check(ce, 12)
-    assert r.passed and r.value < 1e-9
-
-
-def test_sigma_split_kernel_mass_lower_bound():
-    g = GeneratorSequence.walsh(9)
-    ce = counterexample_martingale(ONE, [4], g)
-    lam = ce.lambdas[0]
-    from vilenkin import variation
-
-    # offset 1 is skipped: the unit Fejer kernel is identically zero, so the
-    # kernel part carries no mass there.  Observed ratios stay above 0.35.
-    for n in range(18, 32):
-        r = sigma_split_check(ce, n)
-        assert r.passed
-        mass = float(r.note.split(";")[0].split("=")[1])
-        assert mass >= 0.01 * math.sqrt(lam) * variation(n - 16, g)
-
-
-def test_sigma_split_outside_window():
-    g = GeneratorSequence.walsh(8)
-    ce = counterexample_martingale(ONE, [3, 6], g)
-    with pytest.raises(ValueError):
-        sigma_split_check(ce, 40)
