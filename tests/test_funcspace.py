@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vilenkin import (
     GeneratorSequence,
     GridFunction,
+    conditional_expectation,
     cylinder_indices,
     integrate,
     lp_quasinorm,
@@ -147,6 +148,35 @@ def test_lp_large_exponent_does_not_overflow():
     assert 2.99 < norm <= 3.0
     assert norm == pytest.approx(3.0 * 0.25 ** (1 / 700), rel=1e-14)
     assert lp_quasinorm(GridFunction.constant(WALSH, 0.0), 700.0) == 0.0
+
+
+def _tiled(f, extra):
+    """f on the grid with the digits ``extra`` added above its own: the index
+    of a deeper cell reduces mod M_N to f's cell, so the values repeat."""
+    deeper = GeneratorSequence(f.gen.m + extra)
+    return GridFunction(deeper, np.tile(f.values, deeper.size // f.gen.size))
+
+
+@pytest.mark.parametrize("extra", [(2, 3), (5,)])
+def test_norms_unchanged_on_a_deeper_grid(gen, rng, extra):
+    f = random_function(gen, rng)
+    g = _tiled(f, extra)
+    assert integrate(g) == pytest.approx(integrate(f))
+    for p in (0.5, 1.0, 2.0):
+        assert lp_quasinorm(g, p) == pytest.approx(lp_quasinorm(f, p))
+        assert weak_lp(g, p) == pytest.approx(weak_lp(f, p))
+
+
+@pytest.mark.parametrize("extra", [(2, 3), (5,)])
+def test_cylinder_means_commute_with_tiling(gen, rng, extra):
+    # a function of the first N digits is its own rank-N cylinder mean, and
+    # its lower cylinder means are those of f, tiled
+    f = random_function(gen, rng)
+    g = _tiled(f, extra)
+    assert np.max(np.abs(conditional_expectation(g, gen.depth).values - g.values)) < 1e-12
+    for n in range(gen.depth + 1):
+        lifted = _tiled(conditional_expectation(f, n), extra).values
+        assert np.max(np.abs(conditional_expectation(g, n).values - lifted)) < 1e-12
 
 
 def test_quasi_triangle_half(gen, rng):

@@ -10,6 +10,7 @@ from vilenkin import (
     conditional_expectation,
     counterexample_martingale,
     dirichlet,
+    fejer_kernel,
     fejer_mean,
     forward_transform,
     function_hardy_quasinorm,
@@ -22,6 +23,7 @@ from vilenkin import (
     select_alphas,
     sigma_norm_profile,
     strong_sums,
+    variation,
     vilenkin_fn,
 )
 from vilenkin import hardy
@@ -605,3 +607,136 @@ def test_weighted_ratio_stays_bounded_across_depth():
                     )
         worst_by_depth.append(worst)
     assert max(worst_by_depth) < 2.0
+
+
+# --- the counterexample's atoms and levels -----------------------------------
+
+COUNTEREXAMPLE_CASES = [
+    (GeneratorSequence.walsh(8), (3, 6)),
+    (GeneratorSequence.cycle((2, 3, 4), 6), (2, 4)),
+    (GeneratorSequence.constant(3, 5), (1, 3)),
+    (GeneratorSequence((5, 2, 2, 3, 2, 2)), (2, 4)),
+    (GeneratorSequence((2, 67, 2)), (1, 2)),
+    (GeneratorSequence.walsh(10), (2, 5, 8)),
+]
+COUNTEREXAMPLE_IDS = ["x".join(map(str, g.m)) for g, _ in COUNTEREXAMPLE_CASES]
+
+
+@pytest.mark.parametrize("g, alphas", COUNTEREXAMPLE_CASES[:4], ids=COUNTEREXAMPLE_IDS[:4])
+def test_counterexample_levels_are_partial_atomic_sums(g, alphas):
+    # the atom of rank a has its spectrum in [M_a, 2 M_a), so it enters the
+    # martingale at level a + 1: E_n f = sum over alpha_k < n of lambda_k a_k
+    ce = counterexample_martingale(ONE, alphas, g)
+    atoms = ce.atoms()
+    coeffs = forward_transform(ce.function).coeffs
+    scale = np.max(np.abs(ce.function.values))
+    for n in range(g.depth + 1):
+        expected = np.zeros(g.size, dtype=complex)
+        for lam, atom in zip(ce.lambdas, atoms):
+            if atom.rank < n:
+                expected += lam * atom.values.values
+        level = conditional_expectation(ce.function, n).values
+        synthesized = partial_sum_rows(coeffs, [g.scale[n]], g)[0]
+        assert np.max(np.abs(level - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(synthesized - expected)) <= 1e-10 * scale
+
+
+def _coefficient_quasinorm(coefficients, p):
+    return sum(abs(c) ** p for c in coefficients) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("g, alphas", COUNTEREXAMPLE_CASES, ids=COUNTEREXAMPLE_IDS)
+def test_counterexample_norm_against_coefficients(g, alphas):
+    # ||sum_k lambda_k a_k||_{H_{1/2}} <= C ||lambda||_{l^{1/2}} for p-atoms a_k;
+    # measured ratios lie between 0.81 and 0.98
+    ce = counterexample_martingale(ONE, alphas, g)
+    ratio = function_hardy_quasinorm(ce.function, 0.5) / _coefficient_quasinorm(
+        ce.lambdas, 0.5
+    )
+    assert ratio < 4.0
+
+
+def test_assembled_norm_against_coefficients():
+    # the same bound for coefficients of our choosing; measured ratio 0.53
+    g = GeneratorSequence.walsh(6)
+    atoms = counterexample_martingale(ONE, [1, 3, 4], g).atoms()
+    coefs = (0.8, 0.3, 0.1)
+    top = GridFunction.constant(g, 0.0)
+    for c, atom in zip(coefs, atoms):
+        ok, checks = is_p_atom(atom.values, atom.rank, atom.base, 0.5)
+        assert ok, checks
+        top = top + c * atom.values
+    ratio = function_hardy_quasinorm(top, 0.5) / _coefficient_quasinorm(coefs, 0.5)
+    assert ratio < 4.0
+
+
+# --- the Fejer-mean split in an active block --------------------------------
+
+
+def _sigma_split(ce, k, n):
+    """Deviation of sigma_n f from its split in the block of alpha_k, and the
+    split's kernel part.
+
+    For M_a <= n < 2 M_a the partial sums inside the block satisfy
+    S_j f = S_{M_a} f + lambda_k M_a psi_{M_a} D_{j - M_a}, so
+
+        sigma_n f = (M_a/n) sigma_{M_a} f
+                  + ((n - M_a)/n) S_{M_a} f
+                  + lambda_k M_a ((n - M_a)/n) psi_{M_a} K_{n - M_a}.
+    """
+    g = ce.gen
+    lam = ce.lambdas[k]
+    Ma = g.scale[ce.alphas[k]]
+    assert Ma <= n < 2 * Ma
+    f = ce.function
+    kernel = GridFunction.constant(g, 0.0)
+    if n > Ma:
+        kernel = (lam * Ma * (n - Ma) / n) * (vilenkin_fn(Ma, g) * fejer_kernel(n - Ma, g))
+    split = (Ma / n) * fejer_mean(f, Ma) + ((n - Ma) / n) * partial_sum(f, Ma) + kernel
+    return float(np.max(np.abs(fejer_mean(f, n).values - split.values))), kernel
+
+
+def _kernel_mass(kernel):
+    """||kernel||_{1/2}^{1/2}, the mean of sqrt|kernel|."""
+    return float(np.mean(np.sqrt(np.abs(kernel.values))))
+
+
+def test_sigma_split_at_window_edge():
+    ce = counterexample_martingale(ONE, [3, 6], GeneratorSequence.walsh(8))
+    for k, n in ((0, 8), (0, 15), (1, 64), (1, 127)):
+        deviation, _ = _sigma_split(ce, k, n)
+        assert deviation < 1e-9
+
+
+def test_sigma_split_inside_window():
+    ce = counterexample_martingale(ONE, [3, 6], GeneratorSequence.walsh(8))
+    deviation, kernel = _sigma_split(ce, 0, 12)
+    assert deviation < 1e-9
+    assert _kernel_mass(kernel) > 0
+
+
+def test_sigma_split_kernel_mass_lower_bound():
+    g = GeneratorSequence.walsh(9)
+    ce = counterexample_martingale(ONE, [4], g)
+    lam = ce.lambdas[0]
+    # offset 1 is skipped: the unit Fejer kernel is identically zero, so the
+    # kernel part carries no mass there.  Observed ratios stay above 0.35.
+    for n in range(18, 32):
+        deviation, kernel = _sigma_split(ce, 0, n)
+        assert deviation < 1e-9
+        assert _kernel_mass(kernel) >= 0.01 * math.sqrt(lam) * variation(n - 16, g)
+
+
+@pytest.mark.parametrize("g, alphas", COUNTEREXAMPLE_CASES, ids=COUNTEREXAMPLE_IDS)
+def test_sigma_split_at_every_n_of_every_block(g, alphas):
+    # measured: deviations at most 1.6e-12, mass ratios at least 0.32
+    ce = counterexample_martingale(ONE, alphas, g)
+    for k, a in enumerate(ce.alphas):
+        Ma = g.scale[a]
+        for n in range(Ma, 2 * Ma):
+            deviation, kernel = _sigma_split(ce, k, n)
+            assert deviation < 1e-9
+            v = variation(n - Ma, g)
+            if n - Ma > 1 and v:
+                ratio = _kernel_mass(kernel) / (math.sqrt(ce.lambdas[k]) * v)
+                assert ratio >= 0.25
