@@ -50,6 +50,9 @@ class GeneratorSequence:
     m: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for b in self.m:
+            if not float(b).is_integer():
+                raise ValueError(f"generator entries must be integers, got {b}")
         object.__setattr__(self, "m", tuple(int(b) for b in self.m))
         scale_factors(self.m)  # validates entries
 
@@ -68,14 +71,16 @@ class GeneratorSequence:
 
     @classmethod
     def walsh(cls, depth: int) -> "GeneratorSequence":
-        return cls((2,) * depth)
+        return cls.constant(2, depth)
 
     @classmethod
     def constant(cls, base: int, depth: int) -> "GeneratorSequence":
-        return cls((base,) * depth)
+        return cls.cycle((base,), depth)
 
     @classmethod
     def cycle(cls, pattern: Sequence[int], depth: int) -> "GeneratorSequence":
+        if depth < 0:
+            raise ValueError(f"depth={depth} must be >= 0")
         if not pattern:
             raise ValueError("cycle pattern must be nonempty")
         it = itertools.cycle(pattern)

@@ -255,8 +255,6 @@ def sigma_norm_profile(
     gen = f.gen
     nmax = _order("nmax", nmax, gen.size)
     coeffs = forward_transform(f).coeffs
-    if not coeffs.imag.any():  # tested once here, not once a block
-        coeffs = coeffs.real
     out = np.empty(nmax)
     step = max(1, _ROW_BYTES // (16 * gen.size))
     for start in range(1, nmax + 1, step):

@@ -20,10 +20,15 @@ Paley's lemma, D_{M_n} = M_n * 1_{I_n}, makes the partial sum at a scale the
 conditional expectation S_{M_n} f = E_n f, a cylinder mean: partial_sum takes
 it at every scale without a transform, and the row forms stay syntheses.
 
-Every other operator here is a multiplier on one spectrum, and a
-GridFunction's values never change, so forward_transform analyses a function
-at most once and keeps its SpectralVector on it: the means, partial sums and
-profiles of one f share a single analysis pass.
+Every other operator here is a multiplier on one spectrum: S_n keeps the
+coefficients below n, sigma_n weights coefficient j by (n - 1 - j)/n, and the
+kernels D_n and K_n are the same two multipliers on the all-ones spectrum.
+One private core applies either multiplier and synthesizes the rows in one
+axis pass, for the single and the row forms alike.  It also makes
+K_1 = sigma_1 f = +0, where the synthesis of a zero row leaves -0.0 on
+radix-3 grids.  A GridFunction's values never change, so forward_transform
+analyses a function at most once and keeps its SpectralVector on it: the
+means, partial sums and profiles of one f share a single analysis pass.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -199,28 +204,17 @@ def naive_forward_transform(f: GridFunction) -> SpectralVector:
     return SpectralVector(gen, coeffs)
 
 
-def _synthesis(coeffs: np.ndarray, gen: GeneratorSequence) -> GridFunction:
-    """Synthesis of a full coefficient vector.  A SpectralVector is always
-    complex, so only complex coefficients go through inverse_transform; real
-    ones go straight to the axis pass and stay float64 where the runs allow."""
-    if np.iscomplexobj(coeffs):
-        return inverse_transform(SpectralVector(gen, coeffs))
-    return GridFunction(gen, _axis_pass(coeffs, gen, +1))
-
-
-def _real_if_exact(coeffs: np.ndarray) -> np.ndarray:
-    """A spectrum's real part if its imaginary part is exactly 0, else the
-    spectrum itself."""
-    coeffs = np.asarray(coeffs)
-    return coeffs.real if np.iscomplexobj(coeffs) and not coeffs.imag.any() else coeffs
-
-
 def synthesize(gen: GeneratorSequence, coeffs: np.ndarray) -> GridFunction:
-    """Synthesis of a (possibly short) coefficient vector."""
+    """Synthesis of a coefficient vector of at most M_N entries, zero-padded
+    to M_N.  Real coefficients stay float64 where the runs allow."""
     coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 1 or len(coeffs) > gen.size:
+        raise ValueError(
+            f"expected at most M_N={gen.size} coefficients, got shape {coeffs.shape}"
+        )
     full = np.zeros(gen.size, dtype=np.result_type(coeffs, np.float64))
     full[: len(coeffs)] = coeffs
-    return _synthesis(full, gen)
+    return GridFunction(gen, _axis_pass(full, gen, +1))
 
 
 def _character_row(k: int, d: int, gen: GeneratorSequence) -> np.ndarray:
@@ -246,32 +240,6 @@ def vilenkin_fn(n: int, gen: GeneratorSequence) -> GridFunction:
         if d:
             values *= _character_row(k, d, gen)
     return GridFunction(gen, values)
-
-
-def _truncated(coeffs: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """The S_n multiplier: for each n in ``ns`` a row of coeffs below n and
-    +0 from n on.  Copying into zeros, not multiplying by 0, keeps -0.0 out.
-    Real coefficients give real rows."""
-    rows = np.zeros((ns.size, len(coeffs)), dtype=np.result_type(coeffs, np.float64))
-    for row, n in zip(rows, ns.tolist()):
-        row[:n] = coeffs[:n]
-    return rows
-
-
-def _dirichlet_coeffs(ns: np.ndarray, size: int) -> np.ndarray:
-    """Coefficient rows of D_n, the partial sums of the all-ones spectrum."""
-    return _truncated(np.ones(size), ns)
-
-
-def _fejer_weights(ns: np.ndarray, size: int) -> np.ndarray:
-    """Fejer multipliers for each n in ``ns``: (n - 1 - j) / n for j < n - 1,
-    0 from n - 1 on.  They are the coefficients of K_n and the weights that
-    take the coefficients of f to those of sigma_n f."""
-    top = min(size, max(ns.tolist(), default=1))
-    weights = np.zeros((ns.size, size))
-    col = ns[:, None]
-    np.divide(np.maximum(col - 1 - np.arange(top), 0), col, out=weights[:, :top])
-    return weights
 
 
 def _orders(ns: Iterable[int], gen: GeneratorSequence, low: int = 1) -> np.ndarray:
@@ -304,6 +272,41 @@ def synthesize_rows(coeff_rows: np.ndarray, gen: GeneratorSequence) -> np.ndarra
     return _axis_pass(rows, gen, +1)
 
 
+def _multiplier_rows(
+    coeffs: np.ndarray, ns: np.ndarray, gen: GeneratorSequence, *, fejer: bool
+) -> np.ndarray:
+    """The spectral-multiplier core: for each order n in ``ns`` the row
+    sum_j w_n(j) * coeffs[j] * psi_j, synthesized in one axis pass.
+
+    w_n is the S_n truncation, or with ``fejer`` the Fejer weights
+    max(n - 1 - j, 0)/n.  Truncation copies the coefficients below n into
+    zeros: multiplying by 0 would leave -0.0 where a part is negative.  A
+    spectrum whose imaginary part is exactly 0 takes the Fejer weights as a
+    real one.  K_1 = sigma_1 f = 0 is set to +0 here: the synthesis of a
+    zero row leaves -0.0 on radix-3 grids.
+    """
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (gen.size,):
+        raise ValueError(f"expected {gen.size} coefficients, got shape {coeffs.shape}")
+    if fejer:
+        if np.iscomplexobj(coeffs) and not coeffs.imag.any():
+            coeffs = coeffs.real
+        top = min(gen.size, max(ns.tolist(), default=1))
+        weights = np.zeros((ns.size, gen.size))
+        col = ns[:, None]
+        np.divide(np.maximum(col - 1 - np.arange(top), 0), col, out=weights[:, :top])
+        # Rebinding frees the bare weights before the pass: held through it,
+        # they made a Walsh(9) Fejer profile 12% slower (one BLAS thread).
+        weights = weights * coeffs
+        rows = _axis_pass(weights, gen, +1)
+        rows[ns == 1] = 0.0
+        return rows
+    kept = np.zeros((ns.size, gen.size), dtype=np.result_type(coeffs, np.float64))
+    for row, n in zip(kept, ns.tolist()):
+        row[:n] = coeffs[:n]
+    return _axis_pass(kept, gen, +1)
+
+
 # Bytes of synthesized rows one block of kernel rows holds (1024 complex
 # cells); on a grid of more cells a block is a single row.  Larger blocks
 # made no faster verify/kernels/lebesgue runs but raised their peak RSS
@@ -313,24 +316,20 @@ _ROW_BLOCK_BYTES = 1 << 14
 
 
 def _kernel_blocks(
-    ns: np.ndarray,
-    gen: GeneratorSequence,
-    coefficients: Callable[[np.ndarray, int], np.ndarray],
-    vanish_at_one: bool,
+    ns: np.ndarray, gen: GeneratorSequence, *, fejer: bool
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The kernels of the orders ``ns``: the core on the all-ones spectrum."""
+    ones = np.ones(gen.size)
     step = max(1, _ROW_BLOCK_BYTES // (16 * gen.size))
     for start in range(0, ns.size, step):
         block = ns[start : start + step]
-        rows = synthesize_rows(coefficients(block, gen.size), gen)
-        if vanish_at_one:
-            rows[block == 1] = 0.0  # K_1 = 0 exactly, as in fejer_kernel
-        yield block, rows
+        yield block, _multiplier_rows(ones, block, gen, fejer=fejer)
 
 
 def dirichlet(n: int, gen: GeneratorSequence) -> GridFunction:
     """D_n = sum_{k < n} psi_k, materialized on the depth-N grid."""
-    coeffs = _dirichlet_coeffs(_orders([n], gen), gen.size)[0]
-    return GridFunction(gen, synthesize_rows(coeffs, gen))
+    ns = _orders([n], gen)
+    return GridFunction(gen, _multiplier_rows(np.ones(gen.size), ns, gen, fejer=False)[0])
 
 
 def dirichlet_rows(
@@ -341,27 +340,24 @@ def dirichlet_rows(
     A block holds at most _ROW_BLOCK_BYTES of rows (or a single row), and
     row i of a block is bit-identical to ``dirichlet(orders[i], gen).values``.
     """
-    return _kernel_blocks(_orders(ns, gen), gen, _dirichlet_coeffs, False)
+    return _kernel_blocks(_orders(ns, gen), gen, fejer=False)
 
 
 def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
-    """K_n = (1/n) * sum_{k=0}^{n-1} D_k with D_0 = 0.
+    """K_n = (1/n) * sum_{k=0}^{n-1} D_k with D_0 = 0, so K_1 = 0.
 
     Swapping the two sums gives the multiplier form
     n * K_n = sum_{j <= n-2} (n - 1 - j) * psi_j, used here for speed.
     """
     ns = _orders([n], gen)
-    if ns[0] == 1:
-        return GridFunction.constant(gen, 0.0)
-    weights = _fejer_weights(ns, gen.size)[0]
-    return GridFunction(gen, synthesize_rows(weights, gen))
+    return GridFunction(gen, _multiplier_rows(np.ones(gen.size), ns, gen, fejer=True)[0])
 
 
 def fejer_kernel_rows(
     ns: Iterable[int], gen: GeneratorSequence
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """K_n for every n in ``ns``, in blocks like ``dirichlet_rows``."""
-    return _kernel_blocks(_orders(ns, gen), gen, _fejer_weights, True)
+    return _kernel_blocks(_orders(ns, gen), gen, fejer=True)
 
 
 def fejer_mean_rows(
@@ -369,8 +365,7 @@ def fejer_mean_rows(
 ) -> np.ndarray:
     """sigma_k f for every k in ``ks``, one row each, from f's coefficients.
     A spectrum with imaginary part exactly 0 synthesizes as a real one."""
-    coeffs = _real_if_exact(coeffs)
-    return synthesize_rows(_fejer_weights(_orders(ks, gen), gen.size) * coeffs, gen)
+    return _multiplier_rows(coeffs, _orders(ks, gen), gen, fejer=True)
 
 
 def partial_sum_rows(
@@ -378,7 +373,7 @@ def partial_sum_rows(
 ) -> np.ndarray:
     """S_n f for every n in ``ns`` (0 <= n <= M_N), one row each, from f's
     coefficients."""
-    return synthesize_rows(_truncated(coeffs, _orders(ns, gen, low=0)), gen)
+    return _multiplier_rows(coeffs, _orders(ns, gen, low=0), gen, fejer=False)
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -388,7 +383,7 @@ def partial_sum(f: GridFunction, n: int) -> GridFunction:
     if ns[0] in f.gen.scale:
         return conditional_expectation(f, f.gen.scale.index(ns[0]))
     coeffs = forward_transform(f).coeffs
-    return GridFunction(f.gen, partial_sum_rows(coeffs, ns, f.gen)[0])
+    return GridFunction(f.gen, _multiplier_rows(coeffs, ns, f.gen, fejer=False)[0])
 
 
 def fejer_mean(f: GridFunction, n: int) -> GridFunction:
@@ -398,9 +393,8 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     total weight (n - 1 - j)/n; coefficients at or above n - 1 drop out.
     """
     ns = _orders([n], f.gen)
-    coeffs = _real_if_exact(forward_transform(f).coeffs)
-    weights = _fejer_weights(ns, f.gen.size)[0]
-    return _synthesis(coeffs * weights, f.gen)
+    coeffs = forward_transform(f).coeffs
+    return GridFunction(f.gen, _multiplier_rows(coeffs, ns, f.gen, fejer=True)[0])
 
 
 def lebesgue_constant(n: int, gen: GeneratorSequence) -> float:

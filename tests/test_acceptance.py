@@ -8,7 +8,6 @@ reach at any feasible grid size; those tests state the measured values in
 their failure messages instead of weakening the thresholds.
 """
 
-import math
 import time
 
 import numpy as np

@@ -37,6 +37,28 @@ def test_scale_factors_rejects_small_generator():
         scale_factors((2, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GeneratorSequence((2.5, 2)), "integers, got 2.5"),
+        (lambda: GeneratorSequence((2, np.nan)), "integers, got nan"),
+        (lambda: GeneratorSequence.walsh(-1), "depth=-1 must be >= 0"),
+        (lambda: GeneratorSequence.constant(3, -2), "depth=-2 must be >= 0"),
+        (lambda: GeneratorSequence.cycle([2, 3], -1), "depth=-1 must be >= 0"),
+    ],
+    ids=["fraction", "nan", "walsh", "constant", "cycle"],
+)
+def test_generator_refuses_bad_input_by_value(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_generator_keeps_integral_floats_and_depth_zero():
+    assert GeneratorSequence((2.0, np.int64(3))).m == (2, 3)
+    assert GeneratorSequence.walsh(0).size == 1
+    assert GeneratorSequence.cycle([2, 3], 0).m == ()
+
+
 def test_to_digits_binary():
     exp = to_digits(5, WALSH)
     assert exp.digits == (1, 0, 1)

@@ -326,6 +326,7 @@ ROW_GENERATORS = [
     GeneratorSequence((2, 2, 2, 2, 3, 4)),
     GeneratorSequence.cycle([2, 3, 4], 5),
     GeneratorSequence((2, 67, 2)),
+    GeneratorSequence.constant(3, 5),
 ]
 ROW_IDS = ["x".join(map(str, g.m)) for g in ROW_GENERATORS]
 
@@ -419,6 +420,14 @@ def test_synthesize_rows_matches_inverse_transform(g):
         synthesize_rows(np.ones(g.size + 1), g)
 
 
+def test_synthesize_zero_pads_short_vectors_and_refuses_long_ones():
+    g = GeneratorSequence.walsh(3)
+    padded = synthesize(g, [1.0, 2.0]).values
+    assert padded.tobytes() == synthesize(g, [1.0, 2.0] + [0.0] * 6).values.tobytes()
+    with pytest.raises(ValueError, match=r"M_N=8 coefficients, got shape \(9,\)"):
+        synthesize(g, np.ones(9))
+
+
 def _assert_fejer_mean_rows_byte_equal_to_fejer_mean(f):
     g = f.gen
     coeffs = forward_transform(f).coeffs
@@ -430,8 +439,11 @@ def _assert_fejer_mean_rows_byte_equal_to_fejer_mean(f):
     return rows
 
 
-def test_fejer_mean_rows_byte_equal_to_fejer_mean():
-    g = GeneratorSequence.cycle([2, 3, 4], 4)
+@pytest.mark.parametrize(
+    "g", [GeneratorSequence.cycle([2, 3, 4], 4), GeneratorSequence.constant(3, 5)],
+    ids=["cycle234x4", "3x5"],
+)
+def test_fejer_mean_rows_byte_equal_to_fejer_mean(g):
     f = random_function(g, np.random.default_rng(3))
     _assert_fejer_mean_rows_byte_equal_to_fejer_mean(f)
 
@@ -602,6 +614,26 @@ def test_fejer_mean_of_constant(gen):
 def test_fejer_mean_first_is_zero(gen, rng):
     f = random_function(gen, rng)
     assert np.allclose(fejer_mean(f, 1).values, 0.0)
+
+
+@pytest.mark.parametrize(
+    "g", [GeneratorSequence.constant(3, 5), GeneratorSequence((2, 67, 2))],
+    ids=["3x5", "2x67x2"],
+)
+def test_sigma_1_and_k_1_are_positive_zero(g):
+    # The synthesis of a zero row leaves -0.0 on these grids (11 cells of
+    # fejer_mean(f, 1) on 3^5); K_1 = sigma_1 f = 0 carries no sign bit.
+    f = random_function(g, np.random.default_rng(1))
+    coeffs = forward_transform(f).coeffs
+    zeros = [
+        fejer_mean(f, 1).values,
+        fejer_mean_rows(coeffs, [1, 2], g)[0],
+        fejer_kernel(1, g).values,
+        next(fejer_kernel_rows([1, 2], g))[1][0],
+    ]
+    for row in zeros:
+        assert not np.signbit(row.real).any() and not np.signbit(np.imag(row)).any()
+        assert not row.any()
 
 
 def test_fejer_mean_matches_average_of_partial_sums(gen, rng):
