@@ -1,10 +1,12 @@
 """Command-line front end: verification sweeps, kernel dumps, experiments.
 
-Subcommands: verify | kernels | lebesgue | variation | counterexample.
-Configuration comes from a flat key=value file plus overriding flags; all
-outputs are CSV with 17-significant-digit decimals and LF line endings so
-reruns are byte-identical; a field is quoted only when it holds a comma, a
-quote or a line break.  ``verify`` runs its checks as one serial sweep in a
+COMMANDS gives each subcommand its handler and the flags it reads beyond
+--config, --generator, --depth and --out; argparse refuses any other flag.
+Flags override a flat key=value config file, which may also hold keys that
+only other subcommands read.  All outputs are CSV with
+17-significant-digit decimals and LF line endings so reruns are
+byte-identical; a field is quoted only when it holds a comma, a quote or a
+line break.  ``verify`` runs its checks as one serial sweep in a
 fixed order.
 """
 
@@ -164,6 +166,10 @@ class ExperimentConfig:
     seed: int = 0
     tol: float = identities.DEFAULT_TOL
 
+    # The settings that are not strings, converted alike from a flag and
+    # from a config file.
+    _TYPES = {"depth": int, "nmax": int, "seed": int, "tol": float}
+
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
         cfg = cls()
@@ -180,10 +186,9 @@ class ExperimentConfig:
             key, value = (tok.strip() for tok in line.split("=", 1))
             if key not in vars(cfg):
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in ("depth", "nmax", "seed", "tol"):
-                convert = float if key == "tol" else int
+            if key in cls._TYPES:
                 try:
-                    value = convert(value)
+                    value = cls._TYPES[key](value)
                 except ValueError as exc:
                     raise ConfigError(
                         f"{path}:{lineno}: bad value {value!r} for {key}"
@@ -266,11 +271,15 @@ def _check_synth_cells(figure: str, rows: int, gen: GeneratorSequence) -> None:
         )
 
 
-def _nmax(cfg: ExperimentConfig, default: int) -> int:
+def _nmax(cfg: ExperimentConfig, default: int, top: int, bound: str) -> int:
+    """cfg.nmax, or ``default`` when unset; refused below 1 or above ``top``,
+    which the message names as ``bound``."""
     if cfg.nmax is None:
         return default
     if cfg.nmax < 1:
         raise ConfigError(f"nmax={cfg.nmax} must be >= 1")
+    if cfg.nmax > top:
+        raise ConfigError(f"nmax={cfg.nmax} exceeds {bound}")
     return cfg.nmax
 
 
@@ -340,9 +349,7 @@ def _kernel_lines(gen: GeneratorSequence, blocks) -> Iterator[str]:
 
 def cmd_kernels(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
-    nmax = _nmax(cfg, min(gen.size, 16))
-    if nmax > gen.size:
-        raise ConfigError(f"nmax={nmax} exceeds M_N={gen.size}")
+    nmax = _nmax(cfg, min(gen.size, 16), gen.size, f"M_N={gen.size}")
     if nmax * gen.size > MAX_KERNEL_LINES:
         raise ConfigError(
             f"nmax*M_N = {nmax}*{gen.size} = {nmax * gen.size} lines per CSV"
@@ -361,9 +368,7 @@ def cmd_kernels(cfg: ExperimentConfig) -> int:
 
 def cmd_lebesgue(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
-    nmax = _nmax(cfg, min(gen.size, 64))
-    if nmax > gen.size:
-        raise ConfigError(f"nmax={nmax} exceeds M_N={gen.size}")
+    nmax = _nmax(cfg, min(gen.size, 64), gen.size, f"M_N={gen.size}")
     _check_synth_cells("nmax*M_N", nmax, gen)
     rows = [
         [str(n), _fmt(lp_quasinorm(GridFunction(gen, row), 1.0))]
@@ -377,9 +382,7 @@ def cmd_lebesgue(cfg: ExperimentConfig) -> int:
 
 def cmd_variation(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
-    nmax = _nmax(cfg, gen.depth)
-    if nmax > gen.depth:
-        raise ConfigError(f"nmax={nmax} exceeds depth {gen.depth}")
+    nmax = _nmax(cfg, gen.depth, gen.depth, f"depth {gen.depth}")
     # totals[k] = v(0) + ... + v(k), with v(0) = 0.
     totals = np.cumsum(variation_table(gen.scale[nmax], gen))
     rows = []
@@ -455,45 +458,28 @@ def _fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 # --- entry point -------------------------------------------------------------
 
 
+# Each subcommand's handler and the settings it reads beyond the shared ones;
+# its parser has flags for exactly these, so a flag it would ignore is refused.
+COMMANDS = {
+    "verify": (cmd_verify, ("seed", "tol")),
+    "kernels": (cmd_kernels, ("nmax",)),
+    "lebesgue": (cmd_lebesgue, ("nmax",)),
+    "variation": (cmd_variation, ("nmax",)),
+    "counterexample": (cmd_counterexample, ("phi", "alphas")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vilenkin",
         description="Vilenkin-system kernels, identities, and experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "kernels", "lebesgue", "variation", "counterexample"):
+    for name, (_, keys) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--generator", default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--phi", default=None)
-        p.add_argument("--alphas", default=None)
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        for key in ("config", "generator", "depth", "out", *keys):
+            p.add_argument(f"--{key}", type=ExperimentConfig._TYPES.get(key, str))
     return parser
-
-
-def _merge(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    for key, attr in [
-        ("generator", "generator"), ("depth", "depth"), ("phi", "phi"),
-        ("alphas", "alphas"), ("nmax", "nmax"), ("out", "outdir"),
-        ("seed", "seed"), ("tol", "tol"),
-    ]:
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, attr, value)
-    return cfg
-
-
-COMMANDS = {
-    "verify": cmd_verify,
-    "kernels": cmd_kernels,
-    "lebesgue": cmd_lebesgue,
-    "variation": cmd_variation,
-    "counterexample": cmd_counterexample,
-}
 
 
 # Built once: parse_args leaves the parser unchanged.
@@ -501,11 +487,16 @@ _PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = vars(_PARSER.parse_args(argv))
+    handler = COMMANDS[args.pop("command")][0]
+    config = args.pop("config")
     try:
-        cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-        cfg = _merge(cfg, args)
-        return COMMANDS[args.command](cfg)
+        cfg = ExperimentConfig.load(config) if config else ExperimentConfig()
+        # Flags override the file; "out" is the config key "outdir".
+        for key, value in args.items():
+            if value is not None:
+                setattr(cfg, "outdir" if key == "out" else key, value)
+        return handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

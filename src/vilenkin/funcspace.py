@@ -97,6 +97,8 @@ def integrate(f: GridFunction) -> complex:
 def conditional_expectation(f: GridFunction, n: int) -> GridFunction:
     """E_n f = S_{M_n} f: f averaged over each depth-n cylinder, whose cells
     share the index residue mod M_n."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"rank {n!r} is not an integer")
     if not 0 <= n <= f.gen.depth:
         raise ValueError(f"rank {n} out of range [0, {f.gen.depth}]")
     Mn = f.gen.scale[n]

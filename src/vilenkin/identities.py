@@ -486,6 +486,8 @@ def run_suite(
     first, then the checks run in chunks: one kernel table for as many
     consecutive checks as fit in _TABLE_BYTES, dropped before the next chunk.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol={tol} must be finite and >= 0")
     patterns = _random_block_patterns(gen, rng, _BLOCK_SAMPLES)
     reports = []
     for keys, chunk in _chunks(_schedule(gen, tol, patterns), gen.size):

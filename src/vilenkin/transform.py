@@ -25,8 +25,8 @@ coefficients below n, sigma_n weights coefficient j by (n - 1 - j)/n, and the
 kernels D_n and K_n are the same two multipliers on the all-ones spectrum.
 One private core applies either multiplier and synthesizes the rows in one
 axis pass, for the single and the row forms alike.  It also makes
-K_1 = sigma_1 f = +0, where the synthesis of a zero row leaves -0.0 on
-radix-3 grids.  A GridFunction's values never change, so forward_transform
+S_0 f = K_1 = sigma_1 f = +0, where the synthesis of a zero row leaves -0.0
+on radix-3 grids.  A GridFunction's values never change, so forward_transform
 analyses a function at most once and keeps its SpectralVector on it: the
 means, partial sums and profiles of one f share a single analysis pass.
 """
@@ -77,6 +77,9 @@ class SpectralVector:
             raise ValueError(
                 f"expected {self.gen.size} coefficients, got shape {c.shape}"
             )
+        if not np.isfinite(c).all():
+            j = int(np.flatnonzero(~np.isfinite(c))[0])
+            raise ValueError(f"coefficients must be finite, got coeffs[{j}]={c[j]}")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -282,29 +285,32 @@ def _multiplier_rows(
     max(n - 1 - j, 0)/n.  Truncation copies the coefficients below n into
     zeros: multiplying by 0 would leave -0.0 where a part is negative.  A
     spectrum whose imaginary part is exactly 0 takes the Fejer weights as a
-    real one.  K_1 = sigma_1 f = 0 is set to +0 here: the synthesis of a
-    zero row leaves -0.0 on radix-3 grids.
+    real one.  S_0 f = 0 and K_1 = sigma_1 f = 0 are set to +0 here: the
+    synthesis of a zero row leaves -0.0 on radix-3 grids.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (gen.size,):
         raise ValueError(f"expected {gen.size} coefficients, got shape {coeffs.shape}")
+    orders = ns.tolist()
     if fejer:
         if np.iscomplexobj(coeffs) and not coeffs.imag.any():
             coeffs = coeffs.real
-        top = min(gen.size, max(ns.tolist(), default=1))
+        top = min(gen.size, max(orders, default=1))
         weights = np.zeros((ns.size, gen.size))
         col = ns[:, None]
         np.divide(np.maximum(col - 1 - np.arange(top), 0), col, out=weights[:, :top])
         # Rebinding frees the bare weights before the pass: held through it,
         # they made a Walsh(9) Fejer profile 12% slower (one BLAS thread).
         weights = weights * coeffs
-        rows = _axis_pass(weights, gen, +1)
-        rows[ns == 1] = 0.0
-        return rows
-    kept = np.zeros((ns.size, gen.size), dtype=np.result_type(coeffs, np.float64))
-    for row, n in zip(kept, ns.tolist()):
-        row[:n] = coeffs[:n]
-    return _axis_pass(kept, gen, +1)
+    else:
+        weights = np.zeros((ns.size, gen.size), dtype=np.result_type(coeffs, np.float64))
+        for row, n in zip(weights, orders):
+            row[:n] = coeffs[:n]
+    rows = _axis_pass(weights, gen, +1)
+    zero = 1 if fejer else 0  # the order whose row is 0: sigma_1 f or S_0 f
+    if zero in orders:  # a list test, cheaper than a mask on every block
+        rows[ns == zero] = 0.0
+    return rows
 
 
 # Bytes of synthesized rows one block of kernel rows holds (1024 complex

@@ -155,6 +155,37 @@ def test_bad_input_exits_2_naming_the_value(tmp_path, capsys, argv, named):
     assert not out.exists() or not any(out.iterdir())
 
 
+# The flags each subcommand reads beyond --config, --generator, --depth and
+# --out, written out here rather than read from cli.COMMANDS, so that a wrong
+# table fails the test.
+FLAGS_READ = {
+    "verify": ("--seed", "--tol"),
+    "kernels": ("--nmax",),
+    "lebesgue": ("--nmax",),
+    "variation": ("--nmax",),
+    "counterexample": ("--phi", "--alphas"),
+}
+FLAG_VALUES = {"--phi": "const:1", "--alphas": "2,4", "--nmax": "4", "--seed": "1", "--tol": "1e-9"}
+IGNORED_FLAGS = [
+    (command, flag)
+    for command, reads in FLAGS_READ.items()
+    for flag in FLAG_VALUES if flag not in reads
+]
+
+
+@pytest.mark.parametrize("command, flag", IGNORED_FLAGS, ids=[" ".join(p) for p in IGNORED_FLAGS])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    # These 18 pairs were accepted and then dropped without a word.
+    out = tmp_path / "out"
+    argv = [command, "--generator", "constant:2", "--depth", "8",
+            flag, FLAG_VALUES[flag], "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kernels_over_the_line_budget_exits_2_before_any_synthesis(tmp_path, capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("a kernel was synthesized")

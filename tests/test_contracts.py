@@ -1,0 +1,47 @@
+"""The library's public callables refuse bad input with a ValueError that
+names the value, one (callable, bad argument, message fragment) row each."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from vilenkin import GeneratorSequence, GridFunction, SpectralVector, conditional_expectation
+from vilenkin.identities import run_suite
+
+G = GeneratorSequence.constant(2, 3)
+F = GridFunction(G, np.arange(G.size, dtype=float))
+
+
+def spectrum_with(bad):
+    coeffs = np.zeros(G.size, dtype=np.complex128)
+    coeffs[3] = bad
+    return SpectralVector(G, coeffs)
+
+
+def suite_at(tol):
+    return run_suite(G, np.random.default_rng(0), tol=tol)
+
+
+CONTRACTS = [
+    # Indexing the scales with these raised a bare TypeError.
+    (lambda n: conditional_expectation(F, n), 1.5, "rank 1.5 is not an integer"),
+    (lambda n: conditional_expectation(F, n), "2", "rank '2' is not an integer"),
+    # The run failed only later, with a message about cell values.
+    (spectrum_with, math.nan, "coefficients must be finite, got coeffs[3]=(nan+0j)"),
+    (spectrum_with, complex(0, math.inf), "coefficients must be finite, got coeffs[3]=infj"),
+    # Both returned 53 reports without complaint.
+    (suite_at, math.nan, "tol=nan must be finite and >= 0"),
+    (suite_at, -1.0, "tol=-1.0 must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, bad, fragment", CONTRACTS,
+    ids=["E_n-fraction", "E_n-string", "spectrum-nan", "spectrum-inf-imag",
+         "run_suite-nan", "run_suite-negative"],
+)
+def test_bad_argument_is_refused_by_value(call, bad, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call(bad)

@@ -465,8 +465,7 @@ PARTIAL_SUM_IDS = ["walsh5", "cycle234x3", "2,67"]
 @pytest.mark.parametrize("g", PARTIAL_SUM_GENERATORS, ids=PARTIAL_SUM_IDS)
 def test_partial_sum_rows_byte_equal_to_truncated_spectrum(g):
     # Multiplying the dropped coefficients by 0 would give -0.0 wherever a
-    # part is negative; for this real f the all-zero row S_0 f on 2,67 would
-    # then change the signs of some of its zeros.
+    # part is negative, which can change the signs of zeros in a row.
     f = GridFunction(g, np.random.default_rng(1).standard_normal(g.size))
     coeffs = forward_transform(f).coeffs
     ns = np.arange(g.size + 1)
@@ -475,6 +474,10 @@ def test_partial_sum_rows_byte_equal_to_truncated_spectrum(g):
         kept = coeffs.copy()
         kept[n:] = 0.0
         oracle = inverse_transform(SpectralVector(g, kept)).values
+        if n == 0:
+            # S_0 f = 0 is +0, with no sign bit, where the synthesis of the
+            # zero spectrum leaves -0.0 on 2,67.
+            oracle = np.zeros_like(oracle)
         assert rows[n].tobytes() == oracle.tobytes()
         single = partial_sum(f, int(n)).values
         if n in g.scale:
@@ -622,7 +625,7 @@ def test_fejer_mean_first_is_zero(gen, rng):
 )
 def test_sigma_1_and_k_1_are_positive_zero(g):
     # The synthesis of a zero row leaves -0.0 on these grids (11 cells of
-    # fejer_mean(f, 1) on 3^5); K_1 = sigma_1 f = 0 carries no sign bit.
+    # fejer_mean(f, 1) on 3^5); S_0 f = K_1 = sigma_1 f = 0 carries no sign bit.
     f = random_function(g, np.random.default_rng(1))
     coeffs = forward_transform(f).coeffs
     zeros = [
@@ -630,6 +633,8 @@ def test_sigma_1_and_k_1_are_positive_zero(g):
         fejer_mean_rows(coeffs, [1, 2], g)[0],
         fejer_kernel(1, g).values,
         next(fejer_kernel_rows([1, 2], g))[1][0],
+        partial_sum(f, 0).values,
+        partial_sum_rows(coeffs, [0, 1], g)[0],
     ]
     for row in zeros:
         assert not np.signbit(row.real).any() and not np.signbit(np.imag(row)).any()
