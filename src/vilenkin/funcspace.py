@@ -29,11 +29,12 @@ class GridFunction:
 
     A GridFunction's values never change: ``values`` is marked read-only,
     so ``transform.forward_transform`` computes the spectrum once and keeps
-    it in ``_spectrum`` for as long as the function lives.  The one way to
-    break the rule is to write through another writable view of the same
-    buffer, made before the function.  The values are not copied to close
-    that gap: a synthesis hands over a reshape view of its fresh result, and
-    a copy would cost a grid per synthesis.
+    it in ``_spectrum`` for as long as the function lives; one made by
+    ``synthesize`` or ``inverse_transform`` has its exact spectrum there
+    from birth.  The one way to break the rule is to write through another
+    writable view of the same buffer, made before the function.  The values
+    are not copied to close that gap: a synthesis hands over a reshape view
+    of its fresh result, and a copy would cost a grid per synthesis.
     """
 
     gen: GeneratorSequence

@@ -101,6 +101,8 @@ class DigitExpansion:
 
 def to_digits(n: int, gen: GeneratorSequence) -> DigitExpansion:
     """Expand 0 <= n < M_N in the mixed-radix system of ``gen``."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n={n!r} is not an integer")
     if not 0 <= n < gen.size:
         raise ValueError(f"n={n} out of range [0, {gen.size})")
     digits = []

@@ -283,13 +283,21 @@ def _partial_sum_rows(
     Every base S_{qL} f and every block T_{q,j} is its own synthesis, so no
     round-off accumulates across rows.  ``reduce`` maps a (rows, M_N) block
     to one value per row; the block is reused, so it must not be kept.
+
+    Past the support (1 + the last nonzero index) every block T_{q,j} is
+    zero, so each row with q >= q0 = ceil(support / L) is S_{q0 L} f up to
+    the sign of zeros, reduced once.  That needs exact zeros, as in the
+    spectrum ``synthesize`` keeps; an analysed one rarely has them.
     """
     gen = f.gen
     s = next(r for r, M in enumerate(gen.scale) if M * M >= gen.size)
     L = gen.scale[s]
     H = gen.size // L
-    Q = -(-n // L)
     coeffs = forward_transform(f).coeffs
+    nonzero = np.flatnonzero(coeffs)
+    support = int(nonzero[-1]) + 1 if nonzero.size else 0
+    q0 = -(-support // L)
+    Q = min(-(-n // L), q0)
     coeff_blocks = coeffs.reshape(H, L)  # row q: f_hat(qL), ..., f_hat(qL + L - 1)
     high, low = GeneratorSequence(gen.m[s:]), GeneratorSequence(gen.m[:s])
     chars = synthesize_rows(np.eye(H, dtype=np.complex128)[:Q], high)
@@ -313,8 +321,10 @@ def _partial_sum_rows(
                 block += base
                 out[q * L + j0 : q * L + j0 + nj] = reduce(block.reshape(nj, gen.size))
 
-    for q0 in range(0, Q, q_step):
-        reduce_chunk(np.arange(q0, min(q0 + q_step, Q)))
+    for start in range(0, Q, q_step):
+        reduce_chunk(np.arange(start, min(start + q_step, Q)))
+    if q0 * L < n:
+        out[q0 * L :] = reduce(partial_sum_rows(coeffs, [q0 * L], gen))
     return out
 
 

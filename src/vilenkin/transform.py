@@ -29,6 +29,8 @@ S_0 f = K_1 = sigma_1 f = +0, where the synthesis of a zero row leaves -0.0
 on radix-3 grids.  A GridFunction's values never change, so forward_transform
 analyses a function at most once and keeps its SpectralVector on it: the
 means, partial sums and profiles of one f share a single analysis pass.
+A function made by synthesize or inverse_transform keeps, from birth, the
+exact spectrum it was made from, with exact zeros past the support.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndar
 def forward_transform(f: GridFunction) -> SpectralVector:
     """Fast analysis: coeffs[j] = (1/M_N) * sum_x f(x) * conj(psi_j(x)).
 
-    The spectrum is computed on the first call and kept on f, so every later
-    call on the same f returns that same SpectralVector.
+    The spectrum is computed on the first call, or kept from the synthesis
+    that made f, and every later call on f returns that same SpectralVector.
     """
     spec = f._spectrum
     if spec is None:
@@ -194,8 +196,10 @@ def forward_transform(f: GridFunction) -> SpectralVector:
 
 
 def inverse_transform(spec: SpectralVector) -> GridFunction:
-    """Fast synthesis: f(x) = sum_j coeffs[j] * psi_j(x)."""
-    return GridFunction(spec.gen, _axis_pass(spec.coeffs, spec.gen, +1))
+    """Fast synthesis: f(x) = sum_j coeffs[j] * psi_j(x); f keeps ``spec``."""
+    f = GridFunction(spec.gen, _axis_pass(spec.coeffs, spec.gen, +1))
+    object.__setattr__(f, "_spectrum", spec)
+    return f
 
 
 def naive_forward_transform(f: GridFunction) -> SpectralVector:
@@ -209,7 +213,8 @@ def naive_forward_transform(f: GridFunction) -> SpectralVector:
 
 def synthesize(gen: GeneratorSequence, coeffs: np.ndarray) -> GridFunction:
     """Synthesis of a coefficient vector of at most M_N entries, zero-padded
-    to M_N.  Real coefficients stay float64 where the runs allow."""
+    to M_N, checked finite first and kept as the function's exact spectrum.
+    Real coefficients stay float64 where the runs allow."""
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 1 or len(coeffs) > gen.size:
         raise ValueError(
@@ -217,7 +222,10 @@ def synthesize(gen: GeneratorSequence, coeffs: np.ndarray) -> GridFunction:
         )
     full = np.zeros(gen.size, dtype=np.result_type(coeffs, np.float64))
     full[: len(coeffs)] = coeffs
-    return GridFunction(gen, _axis_pass(full, gen, +1))
+    spec = SpectralVector(gen, full)
+    f = GridFunction(gen, _axis_pass(full, gen, +1))
+    object.__setattr__(f, "_spectrum", spec)
+    return f
 
 
 def _character_row(k: int, d: int, gen: GeneratorSequence) -> np.ndarray:
@@ -227,6 +235,8 @@ def _character_row(k: int, d: int, gen: GeneratorSequence) -> np.ndarray:
 
 def rademacher(k: int, gen: GeneratorSequence) -> GridFunction:
     """r_k(x) = exp(2*pi*i * x_k / m_k)."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"rank {k!r} is not an integer")
     if not 0 <= k < gen.depth:
         raise ValueError(f"rank {k} out of range [0, {gen.depth})")
     return GridFunction(gen, _character_row(k, 1, gen))

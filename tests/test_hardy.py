@@ -23,6 +23,7 @@ from vilenkin import (
     select_alphas,
     sigma_norm_profile,
     strong_sums,
+    synthesize,
     variation,
     vilenkin_fn,
 )
@@ -532,6 +533,58 @@ def test_partial_sum_profiles_rerun_byte_identical():
     first = partial_sum_norm_profile(f, g.size, 0.5)
     assert first.tobytes() == partial_sum_norm_profile(f, g.size, 0.5).tobytes()
     assert strong_sums(f, g.size, mode="gat") == strong_sums(f, g.size, mode="gat")
+
+
+def _random_coeffs(support, complex_part=True, seed=0):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=support)
+    return c + 1j * rng.normal(size=support) if complex_part else c
+
+
+# (generator, coefficients, orders n): a synthesized function keeps its exact
+# spectrum, so past the support the engine reduces one row for all the rest.
+NEG_ZERO = np.append(_random_coeffs(20, seed=1), -0.0)
+NEG_ZERO[3] = -0.0
+SUPPORT_CASES = [
+    pytest.param(GeneratorSequence.walsh(7), np.zeros(0), (2, 37, 128), id="walsh7-K0"),
+    pytest.param(GeneratorSequence.walsh(7), _random_coeffs(128, seed=2), (2, 37, 128),
+                 id="walsh7-KM_N"),
+    pytest.param(GeneratorSequence.walsh(7), NEG_ZERO, (2, 19, 37, 128), id="walsh7-negzero"),
+    pytest.param(GeneratorSequence.walsh(7), _random_coeffs(5, False, seed=3), (2, 3, 37, 128),
+                 id="walsh7-real"),
+    pytest.param(GeneratorSequence.cycle([2, 3, 4], 5), _random_coeffs(30, seed=4),
+                 (2, 29, 37, 100, 144), id="cycle234x5"),
+    pytest.param(GeneratorSequence.constant(3, 5), _random_coeffs(10, seed=5), (2, 9, 28, 243),
+                 id="3x5"),
+]
+
+
+@pytest.mark.parametrize("g, c, ns", SUPPORT_CASES)
+def test_strong_sums_of_a_synthesized_function_match_partial_sum_loop(g, c, ns):
+    f = synthesize(g, c)
+    for n in ns:
+        k = np.arange(1, n + 1)
+        partial = [partial_sum(f, int(kk)) for kk in k]
+        norms = np.array([lp_quasinorm(s, 0.5) for s in partial])
+        profile = partial_sum_norm_profile(f, n, 0.5)
+        assert np.max(np.abs(profile - norms)) <= 1e-12 * np.max(norms)
+        simon = np.sum(norms**0.5 / k**1.5)
+        assert strong_sums(f, n, mode="simon") == pytest.approx(simon, rel=1e-12, abs=0)
+        terms = np.array([lp_quasinorm(s - f, 1.0) for s in partial])
+        gat = np.sum(terms / k) / math.log(n)
+        assert strong_sums(f, n, mode="gat") == pytest.approx(gat, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("g, c, ns", SUPPORT_CASES)
+def test_row_engine_stops_at_the_support(g, c, ns):
+    f = synthesize(g, c)
+    nonzero = np.flatnonzero(c)
+    support = int(nonzero[-1]) + 1 if nonzero.size else 0
+    L = next(M for M in g.scale if M * M >= g.size)
+    cut = -(-support // L) * L
+    for n in ns:
+        reduced = engine_rows(f, n).shape[0]
+        assert reduced == (n if n <= cut else cut + 1), n
 
 
 def test_row_engine_peak_allocation_within_budget(monkeypatch):

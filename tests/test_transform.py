@@ -743,6 +743,35 @@ def test_warm_and_cold_results_byte_identical(g, op):
     assert run(f).tobytes() == run(cold).tobytes()
 
 
+@pytest.mark.parametrize("g", MEMO_GENERATORS, ids=MEMO_IDS)
+def test_a_synthesized_function_keeps_its_exact_spectrum(g, monkeypatch):
+    rng = np.random.default_rng(8)
+    cases = [rng.normal(size=g.size // 3), rng.normal(size=7) + 1j * rng.normal(size=7),
+             np.array([1.0, -0.0, 2.0, -0.0])]
+    made = [synthesize(g, c) for c in cases]
+    calls = count_axis_passes(monkeypatch)
+    for c, f in zip(cases, made):
+        padded = np.zeros(g.size, dtype=np.complex128)
+        padded[: len(c)] = c
+        assert forward_transform(f).coeffs.tobytes() == padded.tobytes()
+    assert calls == []  # no analysis pass
+    spec = SpectralVector(g, rng.normal(size=g.size) + 1j * rng.normal(size=g.size))
+    assert forward_transform(inverse_transform(spec)) is spec
+
+
+@pytest.mark.parametrize("op", WARM_COLD_OPERATIONS)
+@pytest.mark.parametrize("g", MEMO_GENERATORS, ids=MEMO_IDS)
+def test_synthesized_and_analysed_results_agree(g, op):
+    # The kept spectrum has exact zeros where an analysis of the same values
+    # leaves round-off, so the two agree closely but not to the bit.
+    rng = np.random.default_rng(9)
+    f = synthesize(g, rng.normal(size=g.size // 3) + 1j * rng.normal(size=g.size // 3))
+    analysed = GridFunction(g, f.values)
+    run = WARM_COLD_OPERATIONS[op]
+    kept, fresh = run(f), run(analysed)
+    assert np.max(np.abs(kept - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
 def test_grid_function_values_are_read_only():
     f = random_function(WALSH, np.random.default_rng(8))
     with pytest.raises(ValueError):
