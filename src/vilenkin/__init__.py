@@ -14,15 +14,11 @@ from .funcspace import (
     weak_lp,
 )
 from .group import (
-    DigitExpansion,
     GeneratorSequence,
     cylinder_indices,
     from_digits,
     group_add,
     group_sub,
-    index_point,
-    point_index,
-    scale_factors,
     to_digits,
     variation,
     variation_table,

@@ -1,7 +1,7 @@
 """Step functions on the group with exact integration and L_p machinery.
 
 A GridFunction stores one complex value per depth-N cell, indexed by
-``group.point_index``.  Integration against the Haar measure and all the
+``group.from_digits``.  Integration against the Haar measure and all the
 L_p / weak-L_p quasi-norms are exact for such step functions.
 """
 

@@ -12,35 +12,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "GeneratorSequence",
-    "DigitExpansion",
-    "scale_factors",
     "to_digits",
     "from_digits",
     "group_add",
     "group_sub",
-    "point_index",
-    "index_point",
     "cylinder_indices",
     "variation",
     "variation_table",
     "digit_values",
 ]
-
-
-def scale_factors(m: Sequence[int]) -> tuple[int, ...]:
-    """Return (M_0, ..., M_N) with M_0 = 1 and M_{k+1} = m_k * M_k."""
-    out = [1]
-    for b in m:
-        if b < 2:
-            raise ValueError(f"generator entries must be >= 2, got {b}")
-        out.append(out[-1] * b)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -54,11 +41,14 @@ class GeneratorSequence:
             if not float(b).is_integer():
                 raise ValueError(f"generator entries must be integers, got {b}")
         object.__setattr__(self, "m", tuple(int(b) for b in self.m))
-        scale_factors(self.m)  # validates entries
+        for b in self.m:
+            if b < 2:
+                raise ValueError(f"generator entries must be >= 2, got {b}")
 
     @cached_property
     def scale(self) -> tuple[int, ...]:
-        return scale_factors(self.m)
+        """(M_0, ..., M_N) with M_0 = 1 and M_{k+1} = m_k * M_k."""
+        return tuple(itertools.accumulate(self.m, mul, initial=1))
 
     @property
     def depth(self) -> int:
@@ -87,20 +77,9 @@ class GeneratorSequence:
         return cls(tuple(next(it) for _ in range(depth)))
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Mixed-radix expansion n = sum_j digits[j] * M_j with its order.
-
-    ``order`` is the largest j with a nonzero digit, or -1 for n = 0.
-    """
-
-    n: int
-    digits: tuple[int, ...]
-    order: int
-
-
-def to_digits(n: int, gen: GeneratorSequence) -> DigitExpansion:
-    """Expand 0 <= n < M_N in the mixed-radix system of ``gen``."""
+def to_digits(n: int, gen: GeneratorSequence) -> tuple[int, ...]:
+    """Digits (n_0, ..., n_{N-1}) of 0 <= n < M_N, n = sum_j n_j * M_j; read
+    as a point x, the bijection from [0, M_N) whose inverse is from_digits."""
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"n={n!r} is not an integer")
     if not 0 <= n < gen.size:
@@ -110,49 +89,46 @@ def to_digits(n: int, gen: GeneratorSequence) -> DigitExpansion:
     for b in gen.m:
         digits.append(rem % b)
         rem //= b
-    order = max((j for j, d in enumerate(digits) if d), default=-1)
-    return DigitExpansion(n, tuple(digits), order)
+    return tuple(digits)
 
 
-def from_digits(digits: Sequence[int], gen: GeneratorSequence) -> int:
-    if len(digits) != gen.depth:
-        raise ValueError("digit vector length must equal depth")
-    for d, b in zip(digits, gen.m):
+def _point(x: Sequence[int], gen: GeneratorSequence) -> Sequence[int]:
+    """x, refused unless it holds one integer digit x_k in [0, m_k) per
+    generator entry."""
+    if len(x) != gen.depth:
+        raise ValueError(f"point {tuple(x)} has {len(x)} digits, the depth is {gen.depth}")
+    for k, (d, b) in enumerate(zip(x, gen.m)):
+        if not isinstance(d, (int, np.integer)):
+            raise ValueError(f"digit x_{k}={d!r} is not an integer")
         if not 0 <= d < b:
-            raise ValueError(f"digit {d} out of range for base {b}")
-    return sum(d * M for d, M in zip(digits, gen.scale))
+            raise ValueError(f"digit x_{k}={d} out of range [0, {b})")
+    return x
+
+
+def from_digits(x: Sequence[int], gen: GeneratorSequence) -> int:
+    """Inverse of ``to_digits``: the index sum_k x_k * M_k of the point x."""
+    return sum(d * M for d, M in zip(_point(x, gen), gen.scale))
 
 
 def group_add(
     x: Sequence[int], y: Sequence[int], gen: GeneratorSequence
 ) -> tuple[int, ...]:
     """Coordinatewise sum mod m_k."""
-    if len(x) != gen.depth or len(y) != gen.depth:
-        raise ValueError("points must have one digit per generator entry")
-    return tuple((a + b) % mk for a, b, mk in zip(x, y, gen.m))
+    return tuple((a + b) % mk for a, b, mk in zip(_point(x, gen), _point(y, gen), gen.m))
 
 
 def group_sub(
     x: Sequence[int], y: Sequence[int], gen: GeneratorSequence
 ) -> tuple[int, ...]:
     """Inverse of group_add: group_add(group_sub(x, y), y) == x."""
-    if len(x) != gen.depth or len(y) != gen.depth:
-        raise ValueError("points must have one digit per generator entry")
-    return tuple((a - b) % mk for a, b, mk in zip(x, y, gen.m))
-
-
-def point_index(x: Sequence[int], gen: GeneratorSequence) -> int:
-    """Bijection from depth-N points to [0, M_N), digit k weighted by M_k."""
-    return from_digits(x, gen)
-
-
-def index_point(gen: GeneratorSequence, i: int) -> tuple[int, ...]:
-    return to_digits(i, gen).digits
+    return tuple((a - b) % mk for a, b, mk in zip(_point(x, gen), _point(y, gen), gen.m))
 
 
 @lru_cache(maxsize=None)
 def digit_values(gen: GeneratorSequence, k: int) -> np.ndarray:
     """Digit x_k of every index, as an integer array of length M_N."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"digit position {k!r} is not an integer")
     if not 0 <= k < gen.depth:
         raise ValueError(f"digit position {k} out of range")
     return (np.arange(gen.size) // gen.scale[k]) % gen.m[k]
@@ -163,17 +139,18 @@ def cylinder_indices(x: Sequence[int], n: int, gen: GeneratorSequence) -> np.nda
 
     The cylinder has exactly M_N / M_n points and Haar measure 1 / M_n.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"rank {n!r} is not an integer")
     if not 0 <= n <= gen.depth:
         raise ValueError(f"rank {n} out of range [0, {gen.depth}]")
     Mn = gen.scale[n]
-    base = point_index(x, gen) % Mn
+    base = from_digits(x, gen) % Mn
     return base + Mn * np.arange(gen.size // Mn)
 
 
 def _delta(n: int, gen: GeneratorSequence) -> list[int]:
     """Digit sign indicators, padded with one trailing zero."""
-    exp = to_digits(n, gen)
-    return [1 if d else 0 for d in exp.digits] + [0]
+    return [1 if d else 0 for d in to_digits(n, gen)] + [0]
 
 
 def variation(n: int, gen: GeneratorSequence) -> int:

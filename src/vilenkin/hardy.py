@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,9 +91,8 @@ def is_p_atom(
     rank: int,
     base: Sequence[int],
     p: float,
-    tol: float = 1e-9,
 ) -> tuple[bool, dict[str, bool]]:
-    """Check the three atom conditions; returns (ok, per-condition results)."""
+    """Check the three atom conditions to 1e-9; returns (ok, per-condition results)."""
     if not 0 < p <= 1:
         raise ValueError(f"atoms need 0 < p <= 1, got {p}")
     gen = a.gen
@@ -101,6 +100,7 @@ def is_p_atom(
     measure = 1.0 / gen.scale[rank]
     mean = abs(np.sum(a.values[idx])) / gen.size
     off = np.delete(np.abs(a.values), idx)
+    tol = 1e-9
     checks = {
         "mean_zero": bool(mean <= tol),
         "sup_bound": bool(np.max(np.abs(a.values)) <= measure ** (-1.0 / p) + tol),
@@ -166,6 +166,9 @@ def counterexample_martingale(
     gen: GeneratorSequence,
 ) -> CounterexampleMartingale:
     """Assemble the block-atom martingale for the given weight and ranks."""
+    for a in alphas:
+        if not isinstance(a, (int, np.integer)):
+            raise ValueError(f"rank {a!r} is not an integer")
     alphas = tuple(int(a) for a in alphas)
     if list(alphas) != sorted(set(alphas)):
         raise ValueError("alphas must be strictly increasing")
@@ -342,12 +345,11 @@ def strong_sums(
     n: int,
     p: float = 0.5,
     mode: str = "simon",
-    phi: Optional[Callable[[int], float]] = None,
 ) -> float:
     """Weighted strong-convergence sums over k = 1..n.
 
     modes:
-      fejer_plain    (1/(n*phi_n)) * sum ||sigma_k f||_{1/2}^{1/2}, phi default 1
+      fejer_plain    (1/n) * sum ||sigma_k f||_{1/2}^{1/2}
       fejer_weighted (1/(n*log n)) * sum ||sigma_k f||_{H_{1/2}}^{1/2}
       simon          sum ||S_k f||_p^p / k^{2-p}
       gat            (1/log n) * sum ||S_k f - f||_1 / k
@@ -359,8 +361,7 @@ def strong_sums(
         raise ValueError(f"n={n}: mode {mode!r} divides by log n, which needs n >= 2")
     k = np.arange(1, n + 1)
     if mode == "fejer_plain":
-        weight = _weight(phi, n) if phi is not None else 1.0
-        return float(np.sum(sigma_norm_profile(f, n)) / (n * weight))
+        return float(np.sum(sigma_norm_profile(f, n)) / n)
     if mode == "fejer_weighted":
         return float(np.sum(sigma_norm_profile(f, n, hardy=True)) / (n * math.log(n)))
     if mode == "simon":

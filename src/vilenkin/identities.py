@@ -129,6 +129,8 @@ def check_dirichlet_at_scale(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """D_{M_n} equals M_n on I_n and vanishes elsewhere."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"rank {n!r} is not an integer")
     if not 0 <= n <= gen.depth:
         raise ValueError(f"rank {n} out of range [0, {gen.depth}]")
     if table is None:
@@ -286,8 +288,7 @@ def _digit_terms(n: int, gen: GeneratorSequence) -> tuple[tuple[int, int], ...]:
     """Nonzero digits of n as (position, digit), in decreasing position order.
     Cached: run_suite reads them for the table keys, the expansion check and
     the tail bound of each n."""
-    exp = to_digits(n, gen)
-    return tuple((j, d) for j, d in reversed(list(enumerate(exp.digits))) if d)
+    return tuple((j, d) for j, d in reversed(list(enumerate(to_digits(n, gen)))) if d)
 
 
 def _digit_expansion_keys(n: int, gen: GeneratorSequence) -> set[_Key]:
@@ -333,15 +334,13 @@ def check_kernel_digit_expansion(
 
 
 def compose_block_number(
-    blocks: Sequence[tuple[int, int]],
-    gen: GeneratorSequence,
-    digits: Optional[Mapping[int, int]] = None,
+    blocks: Sequence[tuple[int, int]], gen: GeneratorSequence
 ) -> int:
-    """Build n from maximal nonzero-digit blocks (l_i, r_i).
+    """Build n from maximal nonzero-digit blocks (l_i, r_i), digit 1 at
+    every in-block position: n = sum_i (M_{l_i} + ... + M_{r_i}).
 
     Blocks must be increasing with gaps of at least one zero digit
-    (l_{i+1} >= r_i + 2); ``digits`` optionally assigns each in-block
-    position a digit in [1, m_pos), defaulting to 1.
+    (l_{i+1} >= r_i + 2).
     """
     prev_end = -2
     n = 0
@@ -350,30 +349,23 @@ def compose_block_number(
             raise ValueError(f"inadmissible block pattern {list(blocks)}")
         if rr >= gen.depth:
             raise ValueError("block exceeds depth")
-        for pos in range(l, rr + 1):
-            d = digits.get(pos, 1) if digits else 1
-            if not 1 <= d < gen.m[pos]:
-                raise ValueError(f"digit {d} inadmissible at position {pos}")
-            n += d * gen.scale[pos]
+        n += sum(gen.scale[l : rr + 1])
         prev_end = rr
     return n
 
 
 def _block_pattern_keys(
-    blocks: Sequence[tuple[int, int]],
-    gen: GeneratorSequence,
-    digits: Optional[Mapping[int, int]] = None,
+    blocks: Sequence[tuple[int, int]], gen: GeneratorSequence
 ) -> set[_Key]:
     """K_n, or nothing when no block start carries a claim."""
     if all(l < 4 for l, _ in blocks):
         return set()
-    return {("K", compose_block_number(blocks, gen, digits))}
+    return {("K", compose_block_number(blocks, gen))}
 
 
 def check_block_pattern_lower_bound(
     blocks: Sequence[tuple[int, int]],
     gen: GeneratorSequence,
-    digits: Optional[Mapping[int, int]] = None,
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """n |K_n| >= M_l^2 / 144 on I_{l+1}(e_{l-1} + e_l) for each block start l >= 4.
@@ -381,7 +373,7 @@ def check_block_pattern_lower_bound(
     Block starts below 4 carry no claim; if none qualifies the check is
     vacuous and reported as not applicable.
     """
-    n = compose_block_number(blocks, gen, digits)
+    n = compose_block_number(blocks, gen)
     params = {"blocks": tuple(tuple(b) for b in blocks), "n": n}
     starts = [l for l, _ in blocks if l >= 4]
     if not starts:
@@ -391,7 +383,7 @@ def check_block_pattern_lower_bound(
     if max(s for s in starts) + 1 > gen.depth:
         raise ValueError("depth too small for the spike cylinder")
     if table is None:
-        table = _KernelTable(gen, _block_pattern_keys(blocks, gen, digits))
+        table = _KernelTable(gen, _block_pattern_keys(blocks, gen))
     kern = np.abs(n * table["K", n])
     margin = min(
         float(kern[_spike_cell_index(l, gen)] - gen.scale[l] ** 2 / 144.0)

@@ -249,7 +249,7 @@ def vilenkin_fn(n: int, gen: GeneratorSequence) -> GridFunction:
     values are all real (every Walsh character) has imaginary part 0.
     """
     values = np.ones(gen.size, dtype=np.complex128)
-    for k, d in enumerate(to_digits(n, gen).digits):
+    for k, d in enumerate(to_digits(n, gen)):
         if d:
             values *= _character_row(k, d, gen)
     return GridFunction(gen, values)

@@ -13,12 +13,18 @@ from vilenkin import (
     GridFunction,
     SpectralVector,
     conditional_expectation,
+    counterexample_martingale,
+    cylinder_indices,
+    from_digits,
+    group_add,
+    group_sub,
+    is_p_atom,
     rademacher,
     synthesize,
     vilenkin_fn,
 )
-from vilenkin.group import to_digits, variation
-from vilenkin.identities import run_suite
+from vilenkin.group import digit_values, to_digits, variation
+from vilenkin.identities import check_dirichlet_at_scale, run_suite
 
 G = GeneratorSequence.constant(2, 3)
 F = GridFunction(G, np.arange(G.size, dtype=float))
@@ -57,6 +63,21 @@ CONTRACTS = [
     (lambda n: variation(n, G), 2.5, "n=2.5 is not an integer"),
     (lambda k: rademacher(k, G), 1.5, "rank 1.5 is not an integer"),
     (lambda n: vilenkin_fn(n, G), 2.5, "n=2.5 is not an integer"),
+    # A point outside the group: 0.5, then cylinder indices 0.5, 2.5, 4.5,
+    # 6.5 and (1.5, 0, 0); the last two both gave (1, 0, 0).
+    (lambda x: from_digits(x, G), (0.5, 0, 0), "digit x_0=0.5 is not an integer"),
+    (lambda x: cylinder_indices(x, 1, G), (0.5, 0, 0), "digit x_0=0.5 is not an integer"),
+    (lambda x: group_add(x, (1, 0, 0), G), (0.5, 0, 0), "digit x_0=0.5 is not an integer"),
+    (lambda x: group_add(x, (0, 0, 0), G), (5, 0, 0), "digit x_0=5 out of range [0, 2)"),
+    (lambda y: group_sub((0, 0, 0), y, G), (-1, 0, 0), "digit x_0=-1 out of range [0, 2)"),
+    (lambda x: from_digits(x, G), (0, 1), "point (0, 1) has 2 digits, the depth is 3"),
+    # The first ran rank 2 (int(2.5)); the others raised a bare TypeError.
+    (lambda a: counterexample_martingale(lambda n: 1.0, [a], G), 2.5,
+     "rank 2.5 is not an integer"),
+    (lambda n: cylinder_indices((0, 0, 0), n, G), 1.5, "rank 1.5 is not an integer"),
+    (lambda n: is_p_atom(F, n, (0, 0, 0), 0.5), 1.5, "rank 1.5 is not an integer"),
+    (lambda k: digit_values(G, k), 1.5, "digit position 1.5 is not an integer"),
+    (lambda n: check_dirichlet_at_scale(n, G), 1.5, "rank 1.5 is not an integer"),
 ]
 
 
@@ -65,7 +86,10 @@ CONTRACTS = [
     ids=["E_n-fraction", "E_n-string", "spectrum-nan", "spectrum-inf-imag",
          "synthesize-nan", "synthesize-inf-imag", "run_suite-nan", "run_suite-negative",
          "to_digits-fraction", "variation-fraction", "rademacher-fraction",
-         "vilenkin_fn-fraction"],
+         "vilenkin_fn-fraction", "from_digits-fraction", "cylinder-fraction-digit",
+         "group_add-fraction", "group_add-too-large", "group_sub-negative",
+         "from_digits-short", "counterexample-fraction-rank", "cylinder-fraction-rank",
+         "is_p_atom-fraction-rank", "digit_values-fraction", "dirichlet_at_scale-fraction"],
 )
 def test_bad_argument_is_refused_by_value(call, bad, fragment):
     with warnings.catch_warnings():

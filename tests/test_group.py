@@ -9,9 +9,6 @@ from vilenkin import (
     from_digits,
     group_add,
     group_sub,
-    index_point,
-    point_index,
-    scale_factors,
     to_digits,
     variation,
     variation_table,
@@ -21,20 +18,20 @@ WALSH = GeneratorSequence.walsh(3)
 
 
 def test_scale_factors_binary():
-    assert scale_factors((2, 2, 2)) == (1, 2, 4, 8)
+    assert GeneratorSequence((2, 2, 2)).scale == (1, 2, 4, 8)
 
 
 def test_scale_factors_mixed():
-    assert scale_factors((2, 3, 4)) == (1, 2, 6, 24)
+    assert GeneratorSequence((2, 3, 4)).scale == (1, 2, 6, 24)
 
 
 def test_scale_factors_empty():
-    assert scale_factors(()) == (1,)
+    assert GeneratorSequence(()).scale == (1,)
 
 
 def test_scale_factors_rejects_small_generator():
     with pytest.raises(ValueError):
-        scale_factors((2, 1, 2))
+        GeneratorSequence((2, 1, 2))
 
 
 @pytest.mark.parametrize(
@@ -60,21 +57,16 @@ def test_generator_keeps_integral_floats_and_depth_zero():
 
 
 def test_to_digits_binary():
-    exp = to_digits(5, WALSH)
-    assert exp.digits == (1, 0, 1)
-    assert exp.order == 2
+    assert to_digits(5, WALSH) == (1, 0, 1)
 
 
 def test_to_digits_mixed_radix():
     # 7 = 1*1 + 0*2 + 1*6 in base (2, 3, 4)
-    exp = to_digits(7, GeneratorSequence((2, 3, 4)))
-    assert exp.digits == (1, 0, 1)
+    assert to_digits(7, GeneratorSequence((2, 3, 4))) == (1, 0, 1)
 
 
 def test_to_digits_zero():
-    exp = to_digits(0, WALSH)
-    assert exp.digits == (0, 0, 0)
-    assert exp.order == -1
+    assert to_digits(0, WALSH) == (0, 0, 0)
 
 
 def test_to_digits_rejects_out_of_range():
@@ -84,7 +76,7 @@ def test_to_digits_rejects_out_of_range():
 
 def test_digit_round_trip_exhaustive(gen):
     for n in range(gen.size):
-        assert from_digits(to_digits(n, gen).digits, gen) == n
+        assert from_digits(to_digits(n, gen), gen) == n
 
 
 def test_group_add_walsh():
@@ -99,12 +91,12 @@ def test_group_sub_ternary_digit():
 def test_group_identity(gen):
     zero = (0,) * gen.depth
     for i in range(gen.size):
-        x = index_point(gen, i)
+        x = to_digits(i, gen)
         assert group_add(x, zero, gen) == x
 
 
 def test_group_add_associative_commutative(gen):
-    pts = [index_point(gen, i) for i in range(gen.size)]
+    pts = [to_digits(i, gen) for i in range(gen.size)]
     for x in pts[:6]:
         for y in pts[:6]:
             assert group_add(x, y, gen) == group_add(y, x, gen)
@@ -117,15 +109,15 @@ def test_group_add_associative_commutative(gen):
 def test_sub_inverts_add(gen):
     rng = np.random.default_rng(7)
     for _ in range(30):
-        x = index_point(gen, int(rng.integers(gen.size)))
-        y = index_point(gen, int(rng.integers(gen.size)))
+        x = to_digits(int(rng.integers(gen.size)), gen)
+        y = to_digits(int(rng.integers(gen.size)), gen)
         assert group_add(group_sub(x, y, gen), y, gen) == x
 
 
-def test_point_index_examples():
-    assert point_index((1, 0, 1), WALSH) == 5
-    assert point_index((0, 0, 0), WALSH) == 0
-    assert point_index((1, 2), GeneratorSequence((2, 3))) == 5
+def test_from_digits_examples():
+    assert from_digits((1, 0, 1), WALSH) == 5
+    assert from_digits((0, 0, 0), WALSH) == 0
+    assert from_digits((1, 2), GeneratorSequence((2, 3))) == 5
 
 
 def test_cylinder_full_group():
@@ -140,12 +132,12 @@ def test_cylinder_counting(gen):
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(0, gen.depth + 1))
-        x = index_point(gen, int(rng.integers(gen.size)))
+        x = to_digits(int(rng.integers(gen.size)), gen)
         idx = cylinder_indices(x, n, gen)
         assert len(idx) * gen.scale[n] == gen.size
         # all members agree with x below rank n
         for i in idx[:5]:
-            assert index_point(gen, int(i))[:n] == x[:n]
+            assert to_digits(int(i), gen)[:n] == x[:n]
 
 
 def test_cylinder_rejects_deep_rank():
@@ -191,7 +183,7 @@ def test_variation_table_rejects_out_of_range_count():
 @settings(max_examples=200)
 def test_digit_round_trip_walsh_deep(n):
     g = GeneratorSequence.walsh(18)
-    assert from_digits(to_digits(n, g).digits, g) == n
+    assert from_digits(to_digits(n, g), g) == n
 
 
 def test_digit_sum_bounds(gen):

@@ -424,14 +424,6 @@ def test_profile_orders_accept_integral_floats_only(entry):
             entry(f, bad)
 
 
-@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
-def test_fejer_plain_refuses_weight_not_finite_positive(weight):
-    # phi(n) = 0 used to return inf with only a RuntimeWarning.
-    f = random_function(WALSH, np.random.default_rng(4))
-    with pytest.raises(ValueError, match=rf"phi\(8\)={weight}"):
-        strong_sums(f, 8, mode="fejer_plain", phi=lambda n: weight)
-
-
 def profile_blocks(monkeypatch):
     """Record the number of rows of each Fejer block sigma_norm_profile asks for."""
     sizes = []

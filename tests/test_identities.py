@@ -69,9 +69,9 @@ def test_lower_bound_walsh_example():
     r = check_kernel_lower_bound(2, 1, WALSH6)
     assert r.passed
     # |4 K_4| on the spike cylinder clears 16 / (2 pi) ~ 2.546
-    from vilenkin import fejer_kernel, point_index
+    from vilenkin import fejer_kernel, from_digits
 
-    spike = point_index((0, 1, 1, 0, 0, 0), WALSH6)
+    spike = from_digits((0, 1, 1, 0, 0, 0), WALSH6)
     assert abs(4 * fejer_kernel(4, WALSH6).values[spike]) >= 16 / (2 * np.pi)
 
 
@@ -158,12 +158,7 @@ def test_block_pattern_randomized_depth10():
     from vilenkin.identities import _random_block_patterns
 
     for pattern in _random_block_patterns(g, rng, 40):
-        digits = {
-            pos: int(rng.integers(1, g.m[pos]))
-            for (l, r) in pattern
-            for pos in range(l, r + 1)
-        }
-        assert check_block_pattern_lower_bound(pattern, g, digits).passed
+        assert check_block_pattern_lower_bound(pattern, g).passed
 
 
 def test_tail_bound_walsh_five():
@@ -249,7 +244,7 @@ def _vanishing_by_digit_loop(n, s, t, gen):
     kern = fejer_kernel(s * gen.scale[n], gen).values
     dev, count = 0.0, 0
     for i in range(gen.scale[n + 1]):
-        d = to_digits(i, gen).digits
+        d = to_digits(i, gen)
         if any(d[j] for j in range(t)) or d[t] == 0:
             continue
         if not any(d[j] for j in range(t + 1, n)):
@@ -281,7 +276,7 @@ def test_kernel_vanishing_matches_digit_loop(gen):
 
 def _digit_expansion_by_single_kernels(n, gen):
     """The identity's deviation with every kernel synthesized on its own."""
-    digits = to_digits(n, gen).digits
+    digits = to_digits(n, gen)
     terms = [(j, d) for j, d in reversed(list(enumerate(digits))) if d]
     prefix = np.ones(gen.size, dtype=np.complex128)
     rhs = np.zeros(gen.size, dtype=np.complex128)

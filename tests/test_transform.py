@@ -14,19 +14,19 @@ from vilenkin import (
     fejer_kernel,
     fejer_mean,
     forward_transform,
+    from_digits,
     group_sub,
-    index_point,
     integrate,
     inverse_transform,
     lebesgue_constant,
     lp_quasinorm,
     naive_forward_transform,
     partial_sum,
-    point_index,
     rademacher,
     sigma_norm_profile,
     strong_sums,
     synthesize,
+    to_digits,
     vilenkin_fn,
 )
 from vilenkin import transform
@@ -52,11 +52,11 @@ def brute_convolution(f: GridFunction, g: GridFunction) -> GridFunction:
     """(f * g)(x) = integral of f(x - t) g(t) dmu(t), by direct enumeration."""
     gen = f.gen
     out = np.zeros(gen.size, dtype=np.complex128)
-    pts = [index_point(gen, i) for i in range(gen.size)]
+    pts = [to_digits(i, gen) for i in range(gen.size)]
     for xi, x in enumerate(pts):
         acc = 0.0 + 0.0j
         for ti, t in enumerate(pts):
-            acc += f.values[point_index(group_sub(x, t, gen), gen)] * g.values[ti]
+            acc += f.values[from_digits(group_sub(x, t, gen), gen)] * g.values[ti]
         out[xi] = acc / gen.size
     return GridFunction(gen, out)
 
@@ -66,15 +66,15 @@ def brute_convolution(f: GridFunction, g: GridFunction) -> GridFunction:
 
 def test_rademacher_walsh_signs():
     r0 = rademacher(0, WALSH).values
-    assert r0[point_index((0, 0, 0), WALSH)] == 1.0
-    assert r0[point_index((1, 0, 0), WALSH)] == -1.0
+    assert r0[from_digits((0, 0, 0), WALSH)] == 1.0
+    assert r0[from_digits((1, 0, 0), WALSH)] == -1.0
     assert not r0.imag.any()
 
 
 def test_rademacher_quartic_root():
     g = GeneratorSequence((4, 2))
     r0 = rademacher(0, g).values
-    assert [r0[point_index((x, 0), g)] for x in range(4)] == [1, 1j, -1, -1j]
+    assert [r0[from_digits((x, 0), g)] for x in range(4)] == [1, 1j, -1, -1j]
 
 
 def test_rademacher_mean_zero_and_unimodular(gen):
@@ -120,7 +120,7 @@ def test_vilenkin_table_product_matches_summed_phase():
     for n in range(g.size):
         phase = np.zeros(g.size)
         turns = np.zeros(g.size, dtype=np.int64)  # the phase in units of 1/lcm
-        for k, d in enumerate(to_digits(n, g).digits):
+        for k, d in enumerate(to_digits(n, g)):
             if d:
                 phase += d * digit_values(g, k) / g.m[k]
                 turns += d * digit_values(g, k) * (lcm // g.m[k])
@@ -139,8 +139,8 @@ def test_vilenkin_multiplicative(gen, rng):
         psi = vilenkin_fn(n, gen).values
         xi = int(rng.integers(gen.size))
         yi = int(rng.integers(gen.size))
-        x, y = index_point(gen, xi), index_point(gen, yi)
-        zi = point_index(group_add(x, y, gen), gen)
+        x, y = to_digits(xi, gen), to_digits(yi, gen)
+        zi = from_digits(group_add(x, y, gen), gen)
         assert psi[zi] == pytest.approx(psi[xi] * psi[yi])
 
 
@@ -562,7 +562,7 @@ def test_dirichlet_three_hand_values():
     d3 = dirichlet(3, WALSH).values
     cells = {(0, 0): 3, (0, 1): 1, (1, 0): 1, (1, 1): -1}
     for (x0, x1), expected in cells.items():
-        assert d3[point_index((x0, x1, 0), WALSH)] == pytest.approx(expected)
+        assert d3[from_digits((x0, x1, 0), WALSH)] == pytest.approx(expected)
 
 
 def test_dirichlet_range_validation(gen):
