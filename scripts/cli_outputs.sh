@@ -25,6 +25,9 @@ cli lebesgue --generator constant:3 --depth 5 --nmax 100 --out "$out/lebesgue"
 # The float64 Walsh path and the exact radix-4 characters.
 cli kernels --generator constant:2 --depth 6 --nmax 64 --out "$out/kernels-walsh"
 cli lebesgue --generator constant:4 --depth 5 --nmax 100 --out "$out/lebesgue-radix4"
+# A bench grid of 192 cells: many complex kernel rows in each block.
+cli lebesgue --generator 2,2,2,3,2,4 --out "$out/lebesgue-mixed"
+cli kernels --generator 2,2,2,3,2,4 --nmax 16 --out "$out/kernels-mixed"
 cli counterexample --generator constant:2 --depth 12 \
   --phi const:1 --alphas 4,5,6,7,8,9,10,11 --out "$out/counterexample"
 cli counterexample --generator cycle:2,3,4 --depth 8 \

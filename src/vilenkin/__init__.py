@@ -11,6 +11,7 @@ from .funcspace import (
     conditional_expectation,
     integrate,
     lp_quasinorm,
+    lp_quasinorm_rows,
     weak_lp,
 )
 from .group import (
@@ -46,6 +47,7 @@ from .transform import (
     forward_transform,
     inverse_transform,
     lebesgue_constant,
+    lebesgue_constants,
     naive_forward_transform,
     partial_sum,
     partial_sum_rows,

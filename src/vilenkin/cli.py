@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import hardy, identities, transform
-from .funcspace import GridFunction, lp_quasinorm
 from .group import GeneratorSequence, variation_table
 
 __all__ = ["main", "ExperimentConfig", "parse_generator", "parse_phi"]
@@ -370,11 +369,9 @@ def cmd_lebesgue(cfg: ExperimentConfig) -> int:
     gen = cfg.build_generator()
     nmax = _nmax(cfg, min(gen.size, 64), gen.size, f"M_N={gen.size}")
     _check_synth_cells("nmax*M_N", nmax, gen)
-    rows = [
-        [str(n), _fmt(lp_quasinorm(GridFunction(gen, row), 1.0))]
-        for ns, block in transform.dirichlet_rows(range(1, nmax + 1), gen)
-        for n, row in zip(ns.tolist(), block)
-    ]
+    orders = range(1, nmax + 1)
+    constants = transform.lebesgue_constants(orders, gen).tolist()
+    rows = [[str(n), _fmt(L)] for n, L in zip(orders, constants)]
     _write_csv(Path(cfg.outdir) / "lebesgue.csv", ["n", "L_n"], rows)
     print(f"lebesgue: wrote n <= {nmax}")
     return EXIT_OK

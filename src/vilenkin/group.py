@@ -169,6 +169,8 @@ def variation_table(count: int, gen: GeneratorSequence) -> np.ndarray:
     time; digits j with M_j >= count vanish for every l < count, so the
     padding zero follows the last digit with M_j < count.
     """
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count={count!r} is not an integer")
     if not 0 <= count <= gen.size:
         raise ValueError(f"count={count} out of range [0, {gen.size}]")
     l = np.arange(count)

@@ -203,6 +203,8 @@ def select_alphas(
     Returns as many ranks as fit in the depth budget; a short list means
     the weight grows too fast for the requested count at this depth.
     """
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count={count!r} is not an integer")
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold={threshold} must be finite and > 0")
     out: list[int] = []
@@ -237,7 +239,9 @@ _ROW_BYTES = 1 << 20
 
 
 def _order(name: str, n: float, size: int) -> int:
-    """n as an int in [1, size]; an integral float is accepted."""
+    """n as an int in [1, size]; an integral float is accepted, a bool is not."""
+    if isinstance(n, (bool, np.bool_)):
+        raise ValueError(f"{name}={n} is a bool, not an integer")
     if not 1 <= n <= size:
         raise ValueError(f"{name}={n} out of range [1, {size}]")
     if n != int(n):

@@ -49,6 +49,13 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def _integer(label: str, value: object) -> None:
+    """Refuse a rank, multiplier or block bound that is not an integer by
+    value: indexing the scales with it would raise a bare TypeError."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{label}{value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one identity or inequality check.
@@ -129,8 +136,7 @@ def check_dirichlet_at_scale(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """D_{M_n} equals M_n on I_n and vanishes elsewhere."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"rank {n!r} is not an integer")
+    _integer("rank ", n)
     if not 0 <= n <= gen.depth:
         raise ValueError(f"rank {n} out of range [0, {gen.depth}]")
     if table is None:
@@ -152,6 +158,8 @@ def check_dirichlet_scaled(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """D_{s M_n} = D_{M_n} * sum_{k < s} r_n^k for 1 <= s <= m_n - 1."""
+    _integer("rank ", n)
+    _integer("s=", s)
     if not 0 <= n < gen.depth:
         raise ValueError(f"rank {n} out of range [0, {gen.depth})")
     if not 1 <= s <= gen.m[n] - 1:
@@ -175,9 +183,11 @@ def check_dirichlet_shift(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """D_{j + M_alpha} = D_{M_alpha} + psi_{M_alpha} * D_j for all j <= M_alpha."""
+    _integer("rank ", alpha)
+    # Below the depth, 2 M_alpha <= M_{alpha+1} <= M_N: the shifts fit.
+    if not 0 <= alpha < gen.depth:
+        raise ValueError(f"rank {alpha} out of range [0, {gen.depth})")
     Ma = gen.scale[alpha]
-    if 2 * Ma > gen.size:
-        raise ValueError("depth too small for the shifted kernels")
     if table is None:
         table = _KernelTable(gen, _shift_keys(alpha, gen))
     base = table["D", Ma]
@@ -199,6 +209,8 @@ def check_kernel_block_decomposition(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """Decomposition of s * M_n * K_{s M_n} into Dirichlet and Fejer parts at scale M_n."""
+    _integer("rank ", n)
+    _integer("s=", s)
     if n + 1 > gen.depth:
         raise ValueError("depth too small: kernels need rank n + 1")
     if not 1 <= s <= gen.m[n] - 1:
@@ -232,6 +244,8 @@ def check_kernel_lower_bound(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """|s M_n K_{s M_n}| >= M_n^2 / (2 pi) on the cylinder I_{n+1}(e_{n-1} + e_n)."""
+    _integer("rank ", n)
+    _integer("s=", s)
     if n < 1:
         raise ValueError("lower bound needs n >= 1")
     if n + 1 > gen.depth:
@@ -252,6 +266,9 @@ def check_kernel_vanishing(
 ) -> CheckReport:
     """K_{s M_n}(x) = 0 when x has leading digit at position t < n and a
     further nonzero digit strictly between t and n."""
+    _integer("rank ", n)
+    _integer("s=", s)
+    _integer("t=", t)
     if not 0 <= t < n:
         raise ValueError("need t < n")
     if n + 1 > gen.depth:
@@ -345,6 +362,8 @@ def compose_block_number(
     prev_end = -2
     n = 0
     for l, rr in blocks:
+        _integer("block bound ", l)
+        _integer("block bound ", rr)
         if l > rr or l < prev_end + 2:
             raise ValueError(f"inadmissible block pattern {list(blocks)}")
         if rr >= gen.depth:

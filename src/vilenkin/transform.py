@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .funcspace import GridFunction, conditional_expectation, lp_quasinorm
+from .funcspace import GridFunction, conditional_expectation, lp_quasinorm_rows
 from .group import GeneratorSequence, digit_values, to_digits
 
 __all__ = [
@@ -63,6 +63,7 @@ __all__ = [
     "partial_sum",
     "fejer_mean",
     "lebesgue_constant",
+    "lebesgue_constants",
 ]
 
 
@@ -256,8 +257,16 @@ def vilenkin_fn(n: int, gen: GeneratorSequence) -> GridFunction:
 
 
 def _orders(ns: Iterable[int], gen: GeneratorSequence, low: int = 1) -> np.ndarray:
-    """Orders as an integer array, each checked to be an integer in [low, M_N]."""
-    ns = np.asarray(ns if isinstance(ns, np.ndarray) else list(ns))
+    """Orders as an integer array, each checked to be an integer in [low, M_N];
+    a bool is refused, not read as 0 or 1."""
+    if isinstance(ns, np.ndarray):
+        flag = ns.flat[0] if ns.dtype.kind == "b" and ns.size else None
+    else:
+        ns = list(ns)
+        flag = next((n for n in ns if isinstance(n, (bool, np.bool_))), None)
+    if flag is not None:
+        raise ValueError(f"n={flag} is a bool, not an integer")
+    ns = np.asarray(ns)
     if ns.dtype.kind == "f":
         frac = ns[~np.isfinite(ns) | (ns != np.round(ns))]
         if frac.size:
@@ -323,12 +332,16 @@ def _multiplier_rows(
     return rows
 
 
-# Bytes of synthesized rows one block of kernel rows holds (1024 complex
-# cells); on a grid of more cells a block is a single row.  Larger blocks
-# made no faster verify/kernels/lebesgue runs but raised their peak RSS
-# (by 0.2 MiB at 64 KiB and 1.4 MiB at 256 KiB, on six-digit grids of 192
-# or 240 cells, 2-core Xeon, one BLAS thread); 4 KiB blocks were slower.
-_ROW_BLOCK_BYTES = 1 << 14
+# Bytes of synthesized rows one block of kernel rows holds, counted as
+# complex rows (4096 cells: 21 rows of a 192-cell grid); on a grid of more
+# cells a block is a single row.  On the six-digit verify_mixed grids (192
+# or 240 cells) one pass over a few rows is a few microseconds of
+# arithmetic.  Against 16 KiB, 64 KiB blocks cut a job's axis passes from
+# 111 to 35 and its job_s_p50 by 11% (4 alternating pairs of 15 s runs),
+# for 0.1 MiB more peak RSS (2-core Xeon, one BLAS thread).  At 128 KiB
+# run_suite on constant:3 depth 7 peaks at 1096 KiB, over the 750 KiB
+# bound of test_suite_peak_allocation_on_a_chunked_grid.
+_ROW_BLOCK_BYTES = 1 << 16
 
 
 def _kernel_blocks(
@@ -413,6 +426,13 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     return GridFunction(f.gen, _multiplier_rows(coeffs, ns, f.gen, fejer=True)[0])
 
 
+def lebesgue_constants(ns: Iterable[int], gen: GeneratorSequence) -> np.ndarray:
+    """L_n = ||D_n||_1 for every n in ``ns``, one L_1 reduction per block of
+    ``dirichlet_rows``; each is bit-identical to lp_quasinorm(D_n, 1)."""
+    blocks = [lp_quasinorm_rows(rows, 1.0) for _, rows in dirichlet_rows(ns, gen)]
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
 def lebesgue_constant(n: int, gen: GeneratorSequence) -> float:
     """L_n = ||D_n||_1."""
-    return lp_quasinorm(dirichlet(n, gen), 1.0)
+    return float(lebesgue_constants([n], gen)[0])

@@ -399,6 +399,22 @@ def test_lebesgue_and_variation_match_per_n_oracles(tmp_path):
     assert lines == expected
 
 
+def test_lebesgue_csv_is_lebesgue_constant_on_a_mixed_grid(tmp_path):
+    # 21 complex rows of 192 cells to a block: 64 orders span four blocks,
+    # each reduced at once, and every line matches L_n bit for bit, also
+    # the L_1 norm of D_n taken as a function of its own.
+    from vilenkin import dirichlet, lebesgue_constant, lp_quasinorm
+
+    gen = parse_generator("2,2,2,3,2,4", None)
+    assert main(["lebesgue", "--generator", "2,2,2,3,2,4", "--nmax", "64",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "lebesgue.csv").read_text().splitlines()[1:]
+    assert lines == [f"{n},{format(lebesgue_constant(n, gen), '.17g')}"
+                     for n in range(1, 65)]
+    assert lines == [f"{n},{format(lp_quasinorm(dirichlet(n, gen), 1.0), '.17g')}"
+                     for n in range(1, 65)]
+
+
 def test_lebesgue_scale_rows_exact(tmp_path):
     assert main(["lebesgue", "--generator", "cycle:2,3", "--depth", "4",
                  "--nmax", "36", "--out", str(tmp_path)]) == 0

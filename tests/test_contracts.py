@@ -15,18 +15,34 @@ from vilenkin import (
     conditional_expectation,
     counterexample_martingale,
     cylinder_indices,
+    dirichlet,
     from_digits,
     group_add,
     group_sub,
     is_p_atom,
+    lebesgue_constant,
     rademacher,
+    select_alphas,
+    sigma_norm_profile,
+    strong_sums,
     synthesize,
+    variation_table,
     vilenkin_fn,
 )
 from vilenkin.group import digit_values, to_digits, variation
-from vilenkin.identities import check_dirichlet_at_scale, run_suite
+from vilenkin.identities import (
+    check_block_pattern_lower_bound,
+    check_dirichlet_at_scale,
+    check_dirichlet_scaled,
+    check_dirichlet_shift,
+    check_kernel_block_decomposition,
+    check_kernel_lower_bound,
+    check_kernel_vanishing,
+    run_suite,
+)
 
 G = GeneratorSequence.constant(2, 3)
+G3 = GeneratorSequence((2, 3, 4))  # m_1 = 3 admits s = 1, 2 at rank 1
 F = GridFunction(G, np.arange(G.size, dtype=float))
 
 
@@ -78,6 +94,24 @@ CONTRACTS = [
     (lambda n: is_p_atom(F, n, (0, 0, 0), 0.5), 1.5, "rank 1.5 is not an integer"),
     (lambda k: digit_values(G, k), 1.5, "digit position 1.5 is not an integer"),
     (lambda n: check_dirichlet_at_scale(n, G), 1.5, "rank 1.5 is not an integer"),
+    # Each raised a bare TypeError from tuple or slice indices.
+    (lambda n: check_dirichlet_scaled(n, 1, G), 1.5, "rank 1.5 is not an integer"),
+    (lambda s: check_dirichlet_scaled(1, s, G3), 1.5, "s=1.5 is not an integer"),
+    (lambda a: check_dirichlet_shift(a, G), 1.5, "rank 1.5 is not an integer"),
+    (lambda n: check_kernel_block_decomposition(n, 1, G), 1.5, "rank 1.5 is not an integer"),
+    (lambda n: check_kernel_lower_bound(n, 1, G), 1.5, "rank 1.5 is not an integer"),
+    (lambda n: check_kernel_vanishing(n, 1, 0, G), 2.5, "rank 2.5 is not an integer"),
+    (lambda count: select_alphas(lambda n: 1.0, count, G), 2.5, "count=2.5 is not an integer"),
+    (lambda count: variation_table(count, G), 2.5, "count=2.5 is not an integer"),
+    (lambda l: check_block_pattern_lower_bound([(l, 5)], G), 4.5,
+     "block bound 4.5 is not an integer"),
+    # Rank -2 read scale[-2] = M_2 and ran the check at rank 2.
+    (lambda a: check_dirichlet_shift(a, G), -2, "rank -2 out of range [0, 3)"),
+    # A bool is refused as an order; each ran as n = 1.
+    (lambda n: sigma_norm_profile(F, n), True, "nmax=True is a bool, not an integer"),
+    (lambda n: strong_sums(F, n), True, "n=True is a bool, not an integer"),
+    (lambda n: dirichlet(n, G), True, "n=True is a bool, not an integer"),
+    (lambda n: lebesgue_constant(n, G), True, "n=True is a bool, not an integer"),
 ]
 
 
@@ -89,7 +123,13 @@ CONTRACTS = [
          "vilenkin_fn-fraction", "from_digits-fraction", "cylinder-fraction-digit",
          "group_add-fraction", "group_add-too-large", "group_sub-negative",
          "from_digits-short", "counterexample-fraction-rank", "cylinder-fraction-rank",
-         "is_p_atom-fraction-rank", "digit_values-fraction", "dirichlet_at_scale-fraction"],
+         "is_p_atom-fraction-rank", "digit_values-fraction", "dirichlet_at_scale-fraction",
+         "dirichlet_scaled-fraction-rank", "dirichlet_scaled-fraction-s",
+         "dirichlet_shift-fraction", "block_decomposition-fraction",
+         "kernel_lower_bound-fraction", "kernel_vanishing-fraction",
+         "select_alphas-fraction", "variation_table-fraction", "block_pattern-fraction",
+         "dirichlet_shift-negative", "sigma_profile-bool", "strong_sums-bool",
+         "dirichlet-bool", "lebesgue-bool"],
 )
 def test_bad_argument_is_refused_by_value(call, bad, fragment):
     with warnings.catch_warnings():

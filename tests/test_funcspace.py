@@ -13,6 +13,7 @@ from vilenkin import (
     cylinder_indices,
     integrate,
     lp_quasinorm,
+    lp_quasinorm_rows,
     vilenkin_fn,
     weak_lp,
 )
@@ -148,6 +149,29 @@ def test_lp_large_exponent_does_not_overflow():
     assert 2.99 < norm <= 3.0
     assert norm == pytest.approx(3.0 * 0.25 ** (1 / 700), rel=1e-14)
     assert lp_quasinorm(GridFunction.constant(WALSH, 0.0), 700.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 0.7, 3.0])
+def test_lp_rows_match_lp_quasinorm_bit_for_bit(p):
+    # Complex rows of a 192-cell grid, one of them all zero.  The oracle is
+    # the single-row formula with a scalar root; at p = 3 numpy's
+    # array pow would round some roots differently.
+    gen = GeneratorSequence((2, 2, 2, 3, 2, 4))
+    rng = np.random.default_rng(192)
+    rows = rng.standard_normal((6, gen.size)) + 1j * rng.standard_normal((6, gen.size))
+    rows *= np.logspace(-3, 5, 6)[:, None]
+    rows[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the zero row raises no RuntimeWarning
+        norms = lp_quasinorm_rows(rows, p)
+        assert lp_quasinorm_rows(rows.reshape(2, 3, gen.size), p).tolist() == (
+            norms.reshape(2, 3).tolist())
+        for row, norm in zip(rows, norms.tolist()):
+            mag = np.abs(row)
+            top = float(np.max(mag))
+            scalar = top * float(np.mean((mag / top) ** p) ** (1.0 / p)) if top else 0.0
+            assert norm == scalar == lp_quasinorm(GridFunction(gen, row), p)
+    assert norms[2] == 0.0
 
 
 def _tiled(f, extra):

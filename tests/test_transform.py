@@ -363,6 +363,25 @@ def test_kernel_rows_byte_equal_to_single_kernels(g, rows, single, oracle):
     assert seen == list(range(1, g.size + 1))
 
 
+@pytest.mark.parametrize("g, per_block, dtype", [
+    (GeneratorSequence((2, 2, 2, 3, 2, 4)), 21, np.complex128),
+    (GeneratorSequence.walsh(8), 16, np.float64),
+], ids=["2x2x2x3x2x4", "walsh8"])
+@pytest.mark.parametrize(
+    "rows, single", [(dirichlet_rows, dirichlet), (fejer_kernel_rows, fejer_kernel)],
+    ids=["dirichlet", "fejer"],
+)
+def test_kernel_blocks_across_the_block_boundary(g, per_block, dtype, rows, single):
+    # A block holds 64 KiB of rows counted as complex: two whole blocks, then
+    # the start of a third, each row byte-equal to its kernel alone.
+    blocks = list(rows(range(1, 2 * per_block + 4), g))
+    assert [ns.size for ns, _ in blocks] == [per_block, per_block, 3]
+    for ns, block in blocks:
+        assert block.dtype == dtype
+        for n, row in zip(ns.tolist(), block):
+            assert row.astype(np.complex128).tobytes() == single(n, g).values.tobytes(), n
+
+
 def test_kernel_rows_keep_order_and_validate_eagerly():
     g = GeneratorSequence.walsh(4)
     ns = [5, 1, 16, 5]
