@@ -62,19 +62,25 @@ def parse_generator(spec: str, depth: Optional[int]) -> GeneratorSequence:
         if spec.startswith("constant:"):
             if depth is None:
                 raise ConfigError("constant generator needs a depth")
-            gen = GeneratorSequence.constant(int(spec.split(":", 1)[1]), depth)
+            pattern = [int(spec.split(":", 1)[1])]
         elif spec.startswith("cycle:"):
             if depth is None:
                 raise ConfigError("cycle generator needs a depth")
             pattern = [int(tok) for tok in spec.split(":", 1)[1].split(",")]
-            gen = GeneratorSequence.cycle(pattern, depth)
         else:
-            entries = tuple(int(tok) for tok in spec.split(","))
-            if depth is not None and depth != len(entries):
+            pattern = [int(tok) for tok in spec.split(",")]
+            if depth is not None and depth != len(pattern):
                 raise ConfigError(
-                    f"explicit generator has depth {len(entries)}, got depth={depth}"
+                    f"explicit generator has depth {len(pattern)}, got depth={depth}"
                 )
-            gen = GeneratorSequence(entries)
+            depth = len(pattern)
+        # Every m_k >= 2, so a deeper grid is over the budget; it is refused
+        # before its scale, an integer of about 0.3*depth digits, is built.
+        if depth > MAX_CELLS.bit_length() - 1:
+            raise ConfigError(
+                f"depth {depth} gives M_N >= 2^{depth}, over the memory budget {MAX_CELLS}"
+            )
+        gen = GeneratorSequence.cycle(pattern, depth)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"bad generator spec {spec!r}: {exc}") from exc
     if gen.size > MAX_CELLS:
@@ -400,7 +406,10 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     alphas = cfg.build_alphas(gen, phi)
     nmax = 2 * gen.scale[alphas[-1]]
     _check_synth_cells(f"2*M_{alphas[-1]}*M_N", nmax, gen)
-    ce = hardy.counterexample_martingale(phi, alphas, gen)
+    try:
+        ce = hardy.counterexample_martingale(phi, alphas, gen)
+    except ValueError as exc:
+        raise ConfigError(f"bad phi {cfg.phi!r}: {exc}") from exc
     profile = hardy.sigma_norm_profile(ce.function, nmax)
     cumulative = np.cumsum(profile)
     # totals[k] = v(0) + ... + v(k), with v(0) = 0.

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .group import GeneratorSequence
+from .group import GeneratorSequence, integer_arg
 
 if TYPE_CHECKING:
     from .transform import SpectralVector
@@ -105,11 +105,7 @@ def integrate(f: GridFunction) -> complex:
 def conditional_expectation(f: GridFunction, n: int) -> GridFunction:
     """E_n f = S_{M_n} f: f averaged over each depth-n cylinder, whose cells
     share the index residue mod M_n."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"rank {n!r} is not an integer")
-    if not 0 <= n <= f.gen.depth:
-        raise ValueError(f"rank {n} out of range [0, {f.gen.depth}]")
-    Mn = f.gen.scale[n]
+    Mn = f.gen.scale[integer_arg("rank ", n, 0, f.gen.depth + 1)]
     means = f.values.reshape(-1, Mn).mean(axis=0)
     return GridFunction(f.gen, np.tile(means, f.gen.size // Mn))
 

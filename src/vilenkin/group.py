@@ -28,6 +28,9 @@ __all__ = [
     "variation_table",
     "digit_values",
 ]
+# integer_arg is public but not listed: bench/tracing.py wraps every function
+# in __all__, and a span around each index check would swamp the spans of the
+# functions that make them.
 
 
 @dataclass(frozen=True)
@@ -77,15 +80,38 @@ class GeneratorSequence:
         return cls(tuple(next(it) for _ in range(depth)))
 
 
+def integer_arg(label: str, value: object, low: int, stop: float) -> int | np.ndarray:
+    """A rank, order, count or digit checked to lie in [low, stop): an int
+    for an int or np.integer, an int64 array for a list, tuple, range or
+    array of them (which may be empty).
+
+    A bool is refused, not read as 0 or 1, and so is anything else that is
+    not an integer, an integral float too; the message names the value
+    after ``label``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if not low <= value < stop:
+            raise ValueError(f"{label}{value} out of range [{low}, {stop})")
+        return int(value)
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{label}{value} is a bool, not an integer")
+    if isinstance(value, range) or isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        values = np.asarray(value, dtype=np.int64)
+        bad = values[(values < low) | (values >= stop)]
+        if bad.size:
+            raise ValueError(f"{label}{bad[0]} out of range [{low}, {stop})")
+        return values
+    if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
+        items = value.tolist() if isinstance(value, np.ndarray) else value
+        return np.array([integer_arg(label, v, low, stop) for v in items], dtype=np.int64)
+    raise ValueError(f"{label}{value!r} is not an integer")
+
+
 def to_digits(n: int, gen: GeneratorSequence) -> tuple[int, ...]:
     """Digits (n_0, ..., n_{N-1}) of 0 <= n < M_N, n = sum_j n_j * M_j; read
     as a point x, the bijection from [0, M_N) whose inverse is from_digits."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n={n!r} is not an integer")
-    if not 0 <= n < gen.size:
-        raise ValueError(f"n={n} out of range [0, {gen.size})")
     digits = []
-    rem = n
+    rem = integer_arg("n=", n, 0, gen.size)
     for b in gen.m:
         digits.append(rem % b)
         rem //= b
@@ -98,10 +124,7 @@ def _point(x: Sequence[int], gen: GeneratorSequence) -> Sequence[int]:
     if len(x) != gen.depth:
         raise ValueError(f"point {tuple(x)} has {len(x)} digits, the depth is {gen.depth}")
     for k, (d, b) in enumerate(zip(x, gen.m)):
-        if not isinstance(d, (int, np.integer)):
-            raise ValueError(f"digit x_{k}={d!r} is not an integer")
-        if not 0 <= d < b:
-            raise ValueError(f"digit x_{k}={d} out of range [0, {b})")
+        integer_arg(f"digit x_{k}=", d, 0, b)
     return x
 
 
@@ -124,13 +147,10 @@ def group_sub(
     return tuple((a - b) % mk for a, b, mk in zip(_point(x, gen), _point(y, gen), gen.m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry of 1
 def digit_values(gen: GeneratorSequence, k: int) -> np.ndarray:
     """Digit x_k of every index, as an integer array of length M_N."""
-    if not isinstance(k, (int, np.integer)):
-        raise ValueError(f"digit position {k!r} is not an integer")
-    if not 0 <= k < gen.depth:
-        raise ValueError(f"digit position {k} out of range")
+    k = integer_arg("digit position ", k, 0, gen.depth)
     return (np.arange(gen.size) // gen.scale[k]) % gen.m[k]
 
 
@@ -139,11 +159,7 @@ def cylinder_indices(x: Sequence[int], n: int, gen: GeneratorSequence) -> np.nda
 
     The cylinder has exactly M_N / M_n points and Haar measure 1 / M_n.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"rank {n!r} is not an integer")
-    if not 0 <= n <= gen.depth:
-        raise ValueError(f"rank {n} out of range [0, {gen.depth}]")
-    Mn = gen.scale[n]
+    Mn = gen.scale[integer_arg("rank ", n, 0, gen.depth + 1)]
     base = from_digits(x, gen) % Mn
     return base + Mn * np.arange(gen.size // Mn)
 
@@ -169,10 +185,7 @@ def variation_table(count: int, gen: GeneratorSequence) -> np.ndarray:
     time; digits j with M_j >= count vanish for every l < count, so the
     padding zero follows the last digit with M_j < count.
     """
-    if not isinstance(count, (int, np.integer)):
-        raise ValueError(f"count={count!r} is not an integer")
-    if not 0 <= count <= gen.size:
-        raise ValueError(f"count={count} out of range [0, {gen.size}]")
+    count = integer_arg("count=", count, 0, gen.size + 1)
     l = np.arange(count)
     top = sum(1 for M in gen.scale[:-1] if M < count)
     signs = [(l // gen.scale[j]) % gen.m[j] != 0 for j in range(top)]

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .funcspace import GridFunction, lp_quasinorm
-from .group import GeneratorSequence, cylinder_indices
+from .group import GeneratorSequence, cylinder_indices, integer_arg
 from .transform import (
     fejer_mean_rows,
     forward_transform,
@@ -165,30 +165,31 @@ def counterexample_martingale(
     alphas: Sequence[int],
     gen: GeneratorSequence,
 ) -> CounterexampleMartingale:
-    """Assemble the block-atom martingale for the given weight and ranks."""
-    for a in alphas:
-        if not isinstance(a, (int, np.integer)):
-            raise ValueError(f"rank {a!r} is not an integer")
-    alphas = tuple(int(a) for a in alphas)
-    if list(alphas) != sorted(set(alphas)):
+    """Assemble the block-atom martingale for the given weight and ranks.
+
+    Every r_a is 1 at cell 0, which lies in every atom's cylinder, so the
+    largest cell value is sum_k lambda_k * M_{alpha_k}^2 there; a sum that
+    overflows is refused before any grid is built.
+    """
+    # Rank 0 has log M_0 = 0; below the depth, 2 M_a <= M_{a+1} <= M_N.
+    alphas = integer_arg("rank ", list(alphas), 1, gen.depth).tolist()
+    if alphas != sorted(set(alphas)):
         raise ValueError("alphas must be strictly increasing")
     if not alphas:
         raise ValueError("need at least one rank")
-    if alphas[0] < 1:
-        raise ValueError(f"rank {alphas[0]} must be >= 1 (rank 0 has log M_0 = 0)")
-    if alphas[-1] >= gen.depth:  # below the depth, 2 M_a <= M_{a+1} <= M_N
-        raise ValueError(
-            f"rank {alphas[-1]} needs 2*M_{alphas[-1]} <= M_N, so a depth"
-            f" above {alphas[-1]}; got depth {gen.depth}"
-        )
-    lambdas = []
+    lambdas = [_weight(phi, 2 * gen.scale[a]) / math.log(gen.scale[a]) for a in alphas]
+    peak = 0.0
+    for k, (a, lam) in enumerate(zip(alphas, lambdas), start=1):
+        peak += lam * gen.scale[a] ** 2
+        if peak == math.inf:
+            raise ValueError(
+                f"rank {a}: lambda_{k}={lam} overflows the cell value at 0,"
+                f" the sum of lambda_k * M_alpha_k^2"
+            )
     total = np.zeros(gen.size, dtype=np.complex128)
-    for a in alphas:
-        Ma = gen.scale[a]
-        lam = _weight(phi, 2 * Ma) / math.log(Ma)
-        lambdas.append(lam)
+    for a, lam in zip(alphas, lambdas):
         total += lam * _block_atom(a, gen)
-    return CounterexampleMartingale(gen, alphas, tuple(lambdas), GridFunction(gen, total))
+    return CounterexampleMartingale(gen, tuple(alphas), tuple(lambdas), GridFunction(gen, total))
 
 
 def select_alphas(
@@ -203,8 +204,7 @@ def select_alphas(
     Returns as many ranks as fit in the depth budget; a short list means
     the weight grows too fast for the requested count at this depth.
     """
-    if not isinstance(count, (int, np.integer)):
-        raise ValueError(f"count={count!r} is not an integer")
+    count = integer_arg("count=", count, 0, math.inf)
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold={threshold} must be finite and > 0")
     out: list[int] = []
@@ -238,17 +238,6 @@ def select_alphas(
 _ROW_BYTES = 1 << 20
 
 
-def _order(name: str, n: float, size: int) -> int:
-    """n as an int in [1, size]; an integral float is accepted, a bool is not."""
-    if isinstance(n, (bool, np.bool_)):
-        raise ValueError(f"{name}={n} is a bool, not an integer")
-    if not 1 <= n <= size:
-        raise ValueError(f"{name}={n} out of range [1, {size}]")
-    if n != int(n):
-        raise ValueError(f"{name}={n} is not an integer")
-    return int(n)
-
-
 def sigma_norm_profile(
     f: GridFunction, nmax: int, hardy: bool = False
 ) -> np.ndarray:
@@ -260,7 +249,7 @@ def sigma_norm_profile(
     that of its martingale maximal function.
     """
     gen = f.gen
-    nmax = _order("nmax", nmax, gen.size)
+    nmax = integer_arg("nmax=", nmax, 1, gen.size + 1)
     coeffs = forward_transform(f).coeffs
     out = np.empty(nmax)
     step = max(1, _ROW_BYTES // (16 * gen.size))
@@ -337,7 +326,7 @@ def _partial_sum_rows(
 
 def partial_sum_norm_profile(f: GridFunction, nmax: int, p: float) -> np.ndarray:
     """||S_k f||_p for k = 1..nmax, row by row through the shift identity."""
-    nmax = _order("nmax", nmax, f.gen.size)
+    nmax = integer_arg("nmax=", nmax, 1, f.gen.size + 1)
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     sums = _partial_sum_rows(f, nmax, lambda rows: np.mean(np.abs(rows) ** p, axis=-1))
@@ -358,7 +347,7 @@ def strong_sums(
       simon          sum ||S_k f||_p^p / k^{2-p}
       gat            (1/log n) * sum ||S_k f - f||_1 / k
     """
-    n = _order("n", n, f.gen.size)
+    n = integer_arg("n=", n, 1, f.gen.size + 1)
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     if n < 2 and mode in ("fejer_weighted", "gat"):

@@ -23,7 +23,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, 
 
 import numpy as np
 
-from .group import GeneratorSequence, to_digits
+from .group import GeneratorSequence, integer_arg, to_digits
 from .transform import (
     dirichlet,  # not called here; bench/test_bench.py checks the tracer patches it here
     dirichlet_rows,
@@ -47,13 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-
-def _integer(label: str, value: object) -> None:
-    """Refuse a rank, multiplier or block bound that is not an integer by
-    value: indexing the scales with it would raise a bare TypeError."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{label}{value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -136,9 +129,7 @@ def check_dirichlet_at_scale(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """D_{M_n} equals M_n on I_n and vanishes elsewhere."""
-    _integer("rank ", n)
-    if not 0 <= n <= gen.depth:
-        raise ValueError(f"rank {n} out of range [0, {gen.depth}]")
+    n = integer_arg("rank ", n, 0, gen.depth + 1)
     if table is None:
         table = _KernelTable(gen, _at_scale_keys(n, gen))
     Mn = gen.scale[n]
@@ -158,12 +149,8 @@ def check_dirichlet_scaled(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """D_{s M_n} = D_{M_n} * sum_{k < s} r_n^k for 1 <= s <= m_n - 1."""
-    _integer("rank ", n)
-    _integer("s=", s)
-    if not 0 <= n < gen.depth:
-        raise ValueError(f"rank {n} out of range [0, {gen.depth})")
-    if not 1 <= s <= gen.m[n] - 1:
-        raise ValueError(f"s={s} out of range [1, {gen.m[n] - 1}]")
+    n = integer_arg("rank ", n, 0, gen.depth)
+    s = integer_arg("s=", s, 1, gen.m[n])
     if table is None:
         table = _KernelTable(gen, _scaled_keys(n, s, gen))
     Mn = gen.scale[n]
@@ -183,10 +170,8 @@ def check_dirichlet_shift(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """D_{j + M_alpha} = D_{M_alpha} + psi_{M_alpha} * D_j for all j <= M_alpha."""
-    _integer("rank ", alpha)
     # Below the depth, 2 M_alpha <= M_{alpha+1} <= M_N: the shifts fit.
-    if not 0 <= alpha < gen.depth:
-        raise ValueError(f"rank {alpha} out of range [0, {gen.depth})")
+    alpha = integer_arg("rank ", alpha, 0, gen.depth)
     Ma = gen.scale[alpha]
     if table is None:
         table = _KernelTable(gen, _shift_keys(alpha, gen))
@@ -209,12 +194,8 @@ def check_kernel_block_decomposition(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """Decomposition of s * M_n * K_{s M_n} into Dirichlet and Fejer parts at scale M_n."""
-    _integer("rank ", n)
-    _integer("s=", s)
-    if n + 1 > gen.depth:
-        raise ValueError("depth too small: kernels need rank n + 1")
-    if not 1 <= s <= gen.m[n] - 1:
-        raise ValueError(f"s={s} out of range [1, {gen.m[n] - 1}]")
+    n = integer_arg("rank ", n, 0, gen.depth)  # the kernels need rank n + 1
+    s = integer_arg("s=", s, 1, gen.m[n])
     if table is None:
         table = _KernelTable(gen, _block_keys(n, s, gen))
     Mn = gen.scale[n]
@@ -244,14 +225,8 @@ def check_kernel_lower_bound(
     *, table: Optional[_KernelTable] = None,
 ) -> CheckReport:
     """|s M_n K_{s M_n}| >= M_n^2 / (2 pi) on the cylinder I_{n+1}(e_{n-1} + e_n)."""
-    _integer("rank ", n)
-    _integer("s=", s)
-    if n < 1:
-        raise ValueError("lower bound needs n >= 1")
-    if n + 1 > gen.depth:
-        raise ValueError("depth too small: the cylinder needs rank n + 1")
-    if not 1 <= s <= gen.m[n] - 1:
-        raise ValueError(f"s={s} out of range [1, {gen.m[n] - 1}]")
+    n = integer_arg("rank ", n, 1, gen.depth)  # the cylinder needs rank n + 1
+    s = integer_arg("s=", s, 1, gen.m[n])
     if table is None:
         table = _KernelTable(gen, _scaled_fejer_keys(n, s, gen))
     Mn = gen.scale[n]
@@ -266,15 +241,9 @@ def check_kernel_vanishing(
 ) -> CheckReport:
     """K_{s M_n}(x) = 0 when x has leading digit at position t < n and a
     further nonzero digit strictly between t and n."""
-    _integer("rank ", n)
-    _integer("s=", s)
-    _integer("t=", t)
-    if not 0 <= t < n:
-        raise ValueError("need t < n")
-    if n + 1 > gen.depth:
-        raise ValueError("depth too small")
-    if not 1 <= s <= gen.m[n] - 1:
-        raise ValueError(f"s={s} out of range [1, {gen.m[n] - 1}]")
+    n = integer_arg("rank ", n, 0, gen.depth)
+    s = integer_arg("s=", s, 1, gen.m[n])
+    t = integer_arg("t=", t, 0, n)
     if table is None:
         table = _KernelTable(gen, _scaled_fejer_keys(n, s, gen))
     kern = table["K", s * gen.scale[n]]
@@ -330,8 +299,7 @@ def check_kernel_digit_expansion(
 
     where prefix_k multiplies the Rademacher powers of the digits above p_k.
     """
-    if not 1 <= n < gen.size:
-        raise ValueError(f"n={n} out of range [1, {gen.size})")
+    n = integer_arg("n=", n, 1, gen.size)
     if table is None:
         table = _KernelTable(gen, _digit_expansion_keys(n, gen))
     terms = _digit_terms(n, gen)
@@ -362,12 +330,10 @@ def compose_block_number(
     prev_end = -2
     n = 0
     for l, rr in blocks:
-        _integer("block bound ", l)
-        _integer("block bound ", rr)
+        l = integer_arg("block bound ", l, 0, gen.depth)
+        rr = integer_arg("block bound ", rr, 0, gen.depth)
         if l > rr or l < prev_end + 2:
             raise ValueError(f"inadmissible block pattern {list(blocks)}")
-        if rr >= gen.depth:
-            raise ValueError("block exceeds depth")
         n += sum(gen.scale[l : rr + 1])
         prev_end = rr
     return n
@@ -413,8 +379,7 @@ def check_block_pattern_lower_bound(
 
 def check_digit_tail_bound(n: int, gen: GeneratorSequence) -> CheckReport:
     """Every tail of the digit expansion satisfies n^{(k)} <= M_{p_k}, exactly."""
-    if not 1 <= n < gen.size:
-        raise ValueError(f"n={n} out of range [1, {gen.size})")
+    n = integer_arg("n=", n, 1, gen.size)
     terms = _digit_terms(n, gen)
     tail = n
     margin = None

@@ -38,12 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .funcspace import GridFunction, conditional_expectation, lp_quasinorm_rows
-from .group import GeneratorSequence, digit_values, to_digits
+from .group import GeneratorSequence, digit_values, integer_arg, to_digits
 
 __all__ = [
     "SpectralVector",
@@ -236,10 +236,7 @@ def _character_row(k: int, d: int, gen: GeneratorSequence) -> np.ndarray:
 
 def rademacher(k: int, gen: GeneratorSequence) -> GridFunction:
     """r_k(x) = exp(2*pi*i * x_k / m_k)."""
-    if not isinstance(k, (int, np.integer)):
-        raise ValueError(f"rank {k!r} is not an integer")
-    if not 0 <= k < gen.depth:
-        raise ValueError(f"rank {k} out of range [0, {gen.depth})")
+    k = integer_arg("rank ", k, 0, gen.depth)
     return GridFunction(gen, _character_row(k, 1, gen))
 
 
@@ -254,28 +251,6 @@ def vilenkin_fn(n: int, gen: GeneratorSequence) -> GridFunction:
         if d:
             values *= _character_row(k, d, gen)
     return GridFunction(gen, values)
-
-
-def _orders(ns: Iterable[int], gen: GeneratorSequence, low: int = 1) -> np.ndarray:
-    """Orders as an integer array, each checked to be an integer in [low, M_N];
-    a bool is refused, not read as 0 or 1."""
-    if isinstance(ns, np.ndarray):
-        flag = ns.flat[0] if ns.dtype.kind == "b" and ns.size else None
-    else:
-        ns = list(ns)
-        flag = next((n for n in ns if isinstance(n, (bool, np.bool_))), None)
-    if flag is not None:
-        raise ValueError(f"n={flag} is a bool, not an integer")
-    ns = np.asarray(ns)
-    if ns.dtype.kind == "f":
-        frac = ns[~np.isfinite(ns) | (ns != np.round(ns))]
-        if frac.size:
-            raise ValueError(f"n={frac[0]} is not an integer")
-    ns = ns.astype(np.int64, copy=False)
-    bad = ns[(ns < low) | (ns > gen.size)]
-    if bad.size:
-        raise ValueError(f"n={bad[0]} out of range [{low}, {gen.size}]")
-    return ns
 
 
 def synthesize_rows(coeff_rows: np.ndarray, gen: GeneratorSequence) -> np.ndarray:
@@ -357,19 +332,19 @@ def _kernel_blocks(
 
 def dirichlet(n: int, gen: GeneratorSequence) -> GridFunction:
     """D_n = sum_{k < n} psi_k, materialized on the depth-N grid."""
-    ns = _orders([n], gen)
+    ns = integer_arg("n=", [n], 1, gen.size + 1)
     return GridFunction(gen, _multiplier_rows(np.ones(gen.size), ns, gen, fejer=False)[0])
 
 
 def dirichlet_rows(
-    ns: Iterable[int], gen: GeneratorSequence
+    ns: Sequence[int], gen: GeneratorSequence
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """D_n for every n in ``ns``, in order, as (orders, rows) blocks.
 
     A block holds at most _ROW_BLOCK_BYTES of rows (or a single row), and
     row i of a block is bit-identical to ``dirichlet(orders[i], gen).values``.
     """
-    return _kernel_blocks(_orders(ns, gen), gen, fejer=False)
+    return _kernel_blocks(integer_arg("n=", ns, 1, gen.size + 1), gen, fejer=False)
 
 
 def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
@@ -378,15 +353,15 @@ def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
     Swapping the two sums gives the multiplier form
     n * K_n = sum_{j <= n-2} (n - 1 - j) * psi_j, used here for speed.
     """
-    ns = _orders([n], gen)
+    ns = integer_arg("n=", [n], 1, gen.size + 1)
     return GridFunction(gen, _multiplier_rows(np.ones(gen.size), ns, gen, fejer=True)[0])
 
 
 def fejer_kernel_rows(
-    ns: Iterable[int], gen: GeneratorSequence
+    ns: Sequence[int], gen: GeneratorSequence
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """K_n for every n in ``ns``, in blocks like ``dirichlet_rows``."""
-    return _kernel_blocks(_orders(ns, gen), gen, fejer=True)
+    return _kernel_blocks(integer_arg("n=", ns, 1, gen.size + 1), gen, fejer=True)
 
 
 def fejer_mean_rows(
@@ -394,21 +369,21 @@ def fejer_mean_rows(
 ) -> np.ndarray:
     """sigma_k f for every k in ``ks``, one row each, from f's coefficients.
     A spectrum with imaginary part exactly 0 synthesizes as a real one."""
-    return _multiplier_rows(coeffs, _orders(ks, gen), gen, fejer=True)
+    return _multiplier_rows(coeffs, integer_arg("n=", ks, 1, gen.size + 1), gen, fejer=True)
 
 
 def partial_sum_rows(
-    coeffs: np.ndarray, ns: Iterable[int], gen: GeneratorSequence
+    coeffs: np.ndarray, ns: Sequence[int], gen: GeneratorSequence
 ) -> np.ndarray:
     """S_n f for every n in ``ns`` (0 <= n <= M_N), one row each, from f's
     coefficients."""
-    return _multiplier_rows(coeffs, _orders(ns, gen, low=0), gen, fejer=False)
+    return _multiplier_rows(coeffs, integer_arg("n=", ns, 0, gen.size + 1), gen, fejer=False)
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
     """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f = 0.  At a scale n = M_r
     it is the cylinder mean E_r f by Paley's lemma, taken with no transform."""
-    ns = _orders([n], f.gen, low=0)
+    ns = integer_arg("n=", [n], 0, f.gen.size + 1)
     if ns[0] in f.gen.scale:
         return conditional_expectation(f, f.gen.scale.index(ns[0]))
     coeffs = forward_transform(f).coeffs
@@ -421,12 +396,12 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     Coefficient j < n - 1 appears in S_k f for j < k <= n - 1, i.e. with
     total weight (n - 1 - j)/n; coefficients at or above n - 1 drop out.
     """
-    ns = _orders([n], f.gen)
+    ns = integer_arg("n=", [n], 1, f.gen.size + 1)
     coeffs = forward_transform(f).coeffs
     return GridFunction(f.gen, _multiplier_rows(coeffs, ns, f.gen, fejer=True)[0])
 
 
-def lebesgue_constants(ns: Iterable[int], gen: GeneratorSequence) -> np.ndarray:
+def lebesgue_constants(ns: Sequence[int], gen: GeneratorSequence) -> np.ndarray:
     """L_n = ||D_n||_1 for every n in ``ns``, one L_1 reduction per block of
     ``dirichlet_rows``; each is bit-identical to lp_quasinorm(D_n, 1)."""
     blocks = [lp_quasinorm_rows(rows, 1.0) for _, rows in dirichlet_rows(ns, gen)]

@@ -143,6 +143,17 @@ BAD_INPUTS = [
       "--alphas", "greedy:2:-1"], "'greedy:2:-1': threshold=-1.0"),
     (["counterexample", "--generator", "constant:2", "--depth", "8",
       "--alphas", "greedy:2:0"], "'greedy:2:0': threshold=0.0"),
+    # More digits than log2 of the memory budget, refused before M_N is
+    # built: depth 30000 raised a ValueError while formatting the 9031-digit
+    # M_N, and depth 1000000 ran on past 30 s.
+    (["variation", "--generator", "constant:2", "--depth", "30000"],
+     "depth 30000 gives M_N >= 2^30000, over the memory budget 4194304"),
+    (["variation", "--generator", ",".join(["2"] * 23)],
+     "depth 23 gives M_N >= 2^23, over the memory budget 4194304"),
+    (["variation", "--generator", "1000001,5"], "M_N = 5000005 exceeds the memory budget 4194304"),
+    # The cell values overflowed: a traceback from building the grid.
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--phi", "const:1e308", "--alphas", "2,4"], "'const:1e308': rank 2: lambda_1="),
 ]
 
 
@@ -464,6 +475,15 @@ def test_counterexample_single_alpha_skips_fit(tmp_path):
     assert main(["counterexample", "--generator", "constant:2", "--depth", "8",
                  "--phi", "const:1", "--alphas", "4", "--out", str(out)]) == 0
     assert "fit=skipped" in (out / "summary.txt").read_text()
+
+
+def test_counterexample_large_finite_weight_runs(tmp_path):
+    # The largest cell value is about 1.0e302, which is finite; const:1e308 is
+    # refused (BAD_INPUTS).
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--generator", "constant:2", "--depth", "8",
+                 "--phi", "const:1e300", "--alphas", "2,4", "--out", str(out)]) == 0
+    assert "regime=diverging" in (out / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("alphas,rank", [("0,2", "0"), ("-1,3", "-1")])

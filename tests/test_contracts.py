@@ -29,12 +29,13 @@ from vilenkin import (
     variation_table,
     vilenkin_fn,
 )
-from vilenkin.group import digit_values, to_digits, variation
+from vilenkin.group import digit_values, integer_arg, to_digits, variation
 from vilenkin.identities import (
     check_block_pattern_lower_bound,
     check_dirichlet_at_scale,
     check_dirichlet_scaled,
     check_dirichlet_shift,
+    check_digit_tail_bound,
     check_kernel_block_decomposition,
     check_kernel_lower_bound,
     check_kernel_vanishing,
@@ -112,6 +113,30 @@ CONTRACTS = [
     (lambda n: strong_sums(F, n), True, "n=True is a bool, not an integer"),
     (lambda n: dirichlet(n, G), True, "n=True is a bool, not an integer"),
     (lambda n: lebesgue_constant(n, G), True, "n=True is a bool, not an integer"),
+    # Each ran as 1, except variation_table, which raised a bare TypeError;
+    # digit_values answered from the cached entry of position 1.
+    (lambda n: conditional_expectation(F, n), True, "rank True is a bool, not an integer"),
+    (lambda n: to_digits(n, G), True, "n=True is a bool, not an integer"),
+    (lambda k: rademacher(k, G), True, "rank True is a bool, not an integer"),
+    (lambda n: cylinder_indices((0, 0, 0), n, G), True, "rank True is a bool, not an integer"),
+    (lambda k: (digit_values(G, 1), digit_values(G, k)), True,
+     "digit position True is a bool, not an integer"),
+    (lambda n: check_dirichlet_scaled(n, 1, G), True, "rank True is a bool, not an integer"),
+    (lambda n: check_digit_tail_bound(n, G), True, "n=True is a bool, not an integer"),
+    (lambda a: counterexample_martingale(lambda n: 1.0, [a, 2], G), True,
+     "rank True is a bool, not an integer"),
+    (lambda count: select_alphas(lambda n: 1.0, count, G), True,
+     "count=True is a bool, not an integer"),
+    (lambda count: variation_table(count, G), True, "count=True is a bool, not an integer"),
+    # Both ran as the integer order, 7 and 3.
+    (lambda n: sigma_norm_profile(F, n), 7.0, "nmax=7.0 is not an integer"),
+    (lambda n: dirichlet(n, G), 3.0, "n=3.0 is not an integer"),
+    # The shared check itself, on an order list holding a numpy bool.
+    (lambda ns: integer_arg("n=", ns, 0, G.size), [3, np.True_],
+     "n=True is a bool, not an integer"),
+    # The grid was built first and refused, with no rank or weight named.
+    (lambda c: counterexample_martingale(lambda n: c, [1, 2], G), 1e308,
+     f"rank 1: lambda_1={1e308 / math.log(2)} overflows the cell value at 0"),
 ]
 
 
@@ -129,7 +154,11 @@ CONTRACTS = [
          "kernel_lower_bound-fraction", "kernel_vanishing-fraction",
          "select_alphas-fraction", "variation_table-fraction", "block_pattern-fraction",
          "dirichlet_shift-negative", "sigma_profile-bool", "strong_sums-bool",
-         "dirichlet-bool", "lebesgue-bool"],
+         "dirichlet-bool", "lebesgue-bool", "E_n-bool", "to_digits-bool", "rademacher-bool",
+         "cylinder-bool-rank", "digit_values-bool", "dirichlet_scaled-bool",
+         "digit_tail_bound-bool", "counterexample-bool-rank", "select_alphas-bool",
+         "variation_table-bool", "sigma_profile-integral-float", "dirichlet-integral-float",
+         "integer_arg-numpy-bool", "counterexample-overflow"],
 )
 def test_bad_argument_is_refused_by_value(call, bad, fragment):
     with warnings.catch_warnings():

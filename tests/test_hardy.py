@@ -414,13 +414,14 @@ ORDER_ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", ORDER_ENTRIES.values(), ids=ORDER_ENTRIES.keys())
-def test_profile_orders_accept_integral_floats_only(entry):
+def test_profile_orders_refuse_floats(entry):
     # Before one shared check, 7.0 and 7.5 raised a TypeError from numpy
-    # slicing in the partial-sum entry points.
+    # slicing in the partial-sum entry points; later an integral float ran
+    # as its int.  An order is an int or np.integer, so 7.0 is refused too.
     f = random_function(WALSH, np.random.default_rng(3))
-    assert np.asarray(entry(f, 7.0)).tobytes() == np.asarray(entry(f, 7)).tobytes()
-    for bad in (7.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"={bad}"):
+    assert np.asarray(entry(f, np.int64(7))).tobytes() == np.asarray(entry(f, 7)).tobytes()
+    for bad in (7.0, 7.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"={bad} is not an integer"):
             entry(f, bad)
 
 
