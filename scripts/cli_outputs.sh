@@ -28,6 +28,8 @@ cli lebesgue --generator constant:4 --depth 5 --nmax 100 --out "$out/lebesgue-ra
 # A bench grid of 192 cells: many complex kernel rows in each block.
 cli lebesgue --generator 2,2,2,3,2,4 --out "$out/lebesgue-mixed"
 cli kernels --generator 2,2,2,3,2,4 --nmax 16 --out "$out/kernels-mixed"
+# Dirichlet rows on their coarse grids, at exactly the 2^26-cell budget.
+cli lebesgue --generator constant:2 --depth 20 --out "$out/lebesgue-walsh20"
 cli counterexample --generator constant:2 --depth 12 \
   --phi const:1 --alphas 4,5,6,7,8,9,10,11 --out "$out/counterexample"
 cli counterexample --generator cycle:2,3,4 --depth 8 \
@@ -35,3 +37,6 @@ cli counterexample --generator cycle:2,3,4 --depth 8 \
 # Radix-3 block atoms, written from Paley's lemma, not synthesized.
 cli counterexample --generator constant:3 --depth 7 \
   --phi const:1 --alphas 2,4,6 --out "$out/counterexample-radix3"
+# The divergence bench grid: Fejer profile rows on the coarse grids.
+cli counterexample --generator constant:2 --depth 9 \
+  --phi logpow:0.5 --alphas 2,5,8 --out "$out/counterexample-walsh9"

@@ -43,6 +43,7 @@ from .transform import (
     fejer_kernel,
     fejer_kernel_rows,
     fejer_mean,
+    fejer_mean_blocks,
     fejer_mean_rows,
     forward_transform,
     inverse_transform,

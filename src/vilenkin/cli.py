@@ -34,10 +34,13 @@ MAX_KERNEL_LINES = 1 << 20
 # Work budget of `lebesgue`, `counterexample` and `verify`: synthesized
 # cells, rows * M_N (D_1..D_nmax, the profile's sigma_1..sigma_{2 M_alpha},
 # or the shift checks' D_1..D_{2 M_alpha} over every alpha), checked before
-# any synthesis.  At the budget a run takes 3.0-3.5 s (lebesgue on
-# Walsh(20) and Walsh(14); counterexample on constant:3 and cycle:2,3,4 at
-# depth 9; 2-core Xeon, one BLAS thread).  The largest CI, test or bench
-# config is 2^24 cells (counterexample on Walsh(12), ranks up to 11).
+# any synthesis.  The first two make each row on its coarse grid (see
+# transform), so for them the count is an upper bound.  On the full grid a
+# run at the budget took 3.0-3.5 s (lebesgue on Walsh(20) and Walsh(14);
+# counterexample on constant:3 and cycle:2,3,4 at depth 9; 2-core Xeon,
+# one BLAS thread); lebesgue on Walsh(20) now takes milliseconds.  The
+# largest CI, test or bench config is 2^24 cells (counterexample on
+# Walsh(12), ranks up to 11).
 MAX_SYNTH_CELLS = 1 << 26
 
 EXIT_OK = 0
@@ -408,9 +411,11 @@ def cmd_counterexample(cfg: ExperimentConfig) -> int:
     _check_synth_cells(f"2*M_{alphas[-1]}*M_N", nmax, gen)
     try:
         ce = hardy.counterexample_martingale(phi, alphas, gen)
+        # Finite cells may still overflow the analysis, which sums M_N of
+        # them before it divides: the spectrum is then refused as not finite.
+        profile = hardy.sigma_norm_profile(ce.function, nmax)
     except ValueError as exc:
         raise ConfigError(f"bad phi {cfg.phi!r}: {exc}") from exc
-    profile = hardy.sigma_norm_profile(ce.function, nmax)
     cumulative = np.cumsum(profile)
     # totals[k] = v(0) + ... + v(k), with v(0) = 0.
     totals = np.cumsum(variation_table(gen.scale[alphas[-1]], gen))

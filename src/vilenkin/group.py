@@ -28,9 +28,9 @@ __all__ = [
     "variation_table",
     "digit_values",
 ]
-# integer_arg is public but not listed: bench/tracing.py wraps every function
-# in __all__, and a span around each index check would swamp the spans of the
-# functions that make them.
+# integer_arg and integer_args are public but not listed: bench/tracing.py
+# wraps every function in __all__, and a span around each index check would
+# swamp the spans of the functions that make them.
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,11 @@ class GeneratorSequence:
         return cls(tuple(next(it) for _ in range(depth)))
 
 
-def integer_arg(label: str, value: object, low: int, stop: float) -> int | np.ndarray:
-    """A rank, order, count or digit checked to lie in [low, stop): an int
-    for an int or np.integer, an int64 array for a list, tuple, range or
-    array of them (which may be empty).
-
-    A bool is refused, not read as 0 or 1, and so is anything else that is
-    not an integer, an integral float too; the message names the value
-    after ``label``.
+def integer_arg(label: str, value: object, low: int, stop: float) -> int:
+    """One rank, order, count or digit, checked to lie in [low, stop), as an
+    int.  Only an int or np.integer is one: a bool is refused, not read as
+    0 or 1, and so is anything else, an integral float or a sequence too;
+    the message names the value after ``label``.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if not low <= value < stop:
@@ -95,16 +92,24 @@ def integer_arg(label: str, value: object, low: int, stop: float) -> int | np.nd
         return int(value)
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{label}{value} is a bool, not an integer")
-    if isinstance(value, range) or isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        values = np.asarray(value, dtype=np.int64)
-        bad = values[(values < low) | (values >= stop)]
-        if bad.size:
-            raise ValueError(f"{label}{bad[0]} out of range [{low}, {stop})")
-        return values
-    if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
-        items = value.tolist() if isinstance(value, np.ndarray) else value
-        return np.array([integer_arg(label, v, low, stop) for v in items], dtype=np.int64)
     raise ValueError(f"{label}{value!r} is not an integer")
+
+
+def integer_args(label: str, values: object, low: int, stop: float) -> np.ndarray:
+    """A list, tuple, range or 1-d array of orders (which may be empty), each
+    checked as ``integer_arg`` checks one, as an int64 array; anything else
+    is refused by value."""
+    if isinstance(values, range) or isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        orders = np.asarray(values, dtype=np.int64)
+        if orders.ndim == 1:
+            bad = orders[(orders < low) | (orders >= stop)]
+            if bad.size:
+                raise ValueError(f"{label}{bad[0]} out of range [{low}, {stop})")
+            return orders
+    elif isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1:
+        items = values.tolist() if isinstance(values, np.ndarray) else values
+        return np.array([integer_arg(label, v, low, stop) for v in items], dtype=np.int64)
+    raise ValueError(f"{label}{values!r} is not a sequence of integers")
 
 
 def to_digits(n: int, gen: GeneratorSequence) -> tuple[int, ...]:

@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .funcspace import GridFunction, lp_quasinorm
-from .group import GeneratorSequence, cylinder_indices, integer_arg
+from .group import GeneratorSequence, cylinder_indices, integer_arg, integer_args
 from .transform import (
-    fejer_mean_rows,
+    fejer_mean_blocks,
     forward_transform,
     partial_sum_rows,
     rademacher,
@@ -172,7 +172,7 @@ def counterexample_martingale(
     overflows is refused before any grid is built.
     """
     # Rank 0 has log M_0 = 0; below the depth, 2 M_a <= M_{a+1} <= M_N.
-    alphas = integer_arg("rank ", list(alphas), 1, gen.depth).tolist()
+    alphas = integer_args("rank ", list(alphas), 1, gen.depth).tolist()
     if alphas != sorted(set(alphas)):
         raise ValueError("alphas must be strictly increasing")
     if not alphas:
@@ -229,11 +229,12 @@ def select_alphas(
 
 
 # Bytes of complex rows one block holds, with at least one row: a block of
-# Fejer means in sigma_norm_profile, and in the partial-sum row engine one
-# chunk of bases with their shift blocks, or one chunk of rows.  The budget
-# counts rows, not the synthesis temporaries around them (weights, weighted
-# coefficients, a fresh array per run of the axis pass): a Walsh(15) Hardy
-# profile peaks at 5.00 x 1 MiB, pinned by
+# Fejer means on one coarse grid in sigma_norm_profile (512 rows of 128
+# cells), and in the partial-sum row engine one chunk of bases with their
+# shift blocks, or one chunk of rows.  The budget counts rows, not the
+# synthesis temporaries around them (weights, weighted coefficients, a
+# fresh array per run of the axis pass): a Walsh(12) Hardy profile with
+# 128 KiB blocks peaks at 5.03 x 128 KiB past its orders, pinned by
 # test_hardy_profile_peak_allocation_bounded_by_byte_cap.
 _ROW_BYTES = 1 << 20
 
@@ -246,17 +247,16 @@ def sigma_norm_profile(
     Fejer means are synthesized in batches from the shared coefficient
     vector (in float64 on a Walsh grid when its imaginary part is exactly
     0); with ``hardy`` the L_{1/2} integral of each mean is replaced by
-    that of its martingale maximal function.
+    that of its martingale maximal function.  sigma_k f lies below k - 1,
+    so it is constant on the cylinders of its coarse grid (see
+    ``fejer_mean_blocks``): its mean, and its maximal function, which every
+    rank past the grid's leaves unchanged, are taken on that grid's cells.
     """
-    gen = f.gen
-    nmax = integer_arg("nmax=", nmax, 1, gen.size + 1)
+    nmax = integer_arg("nmax=", nmax, 1, f.gen.size + 1)
     coeffs = forward_transform(f).coeffs
     out = np.empty(nmax)
-    step = max(1, _ROW_BYTES // (16 * gen.size))
-    for start in range(1, nmax + 1, step):
-        ks = np.arange(start, min(start + step, nmax + 1))
-        block = fejer_mean_rows(coeffs, ks, gen)
-        star = _maximal_abs(block, gen) if hardy else np.abs(block)
+    for ks, grid, block in fejer_mean_blocks(coeffs, range(1, nmax + 1), f.gen, _ROW_BYTES):
+        star = _maximal_abs(block, grid) if hardy else np.abs(block)
         out[ks - 1] = np.mean(np.sqrt(star), axis=-1)
     return out
 

@@ -31,10 +31,20 @@ analyses a function at most once and keeps its SpectralVector on it: the
 means, partial sums and profiles of one f share a single analysis pass.
 A function made by synthesize or inverse_transform keeps, from birth, the
 exact spectrum it was made from, with exact zeros past the support.
+
+A row whose spectrum lies below M_r is constant on depth-r cylinders, so
+the Fejer-mean rows of a norm profile and the Dirichlet rows of the Lebesgue
+constants are synthesized and reduced on the coarsest prefix grid m[:r]
+that holds each row, of at least 128 cells (or M_N): L_n for n <= 64 on
+Walsh(20) reads 128 cells, not 2^20.  Kernels, single means and partial
+sums are made on the full grid.  The CLI's cell budgets still count
+rows * M_N, so for profiles and Lebesgue constants they are an upper bound
+on the cells synthesized.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,7 +53,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .funcspace import GridFunction, conditional_expectation, lp_quasinorm_rows
-from .group import GeneratorSequence, digit_values, integer_arg, to_digits
+from .group import GeneratorSequence, digit_values, integer_arg, integer_args, to_digits
 
 __all__ = [
     "SpectralVector",
@@ -59,6 +69,7 @@ __all__ = [
     "fejer_kernel",
     "fejer_kernel_rows",
     "fejer_mean_rows",
+    "fejer_mean_blocks",
     "partial_sum_rows",
     "partial_sum",
     "fejer_mean",
@@ -191,7 +202,12 @@ def forward_transform(f: GridFunction) -> SpectralVector:
     """
     spec = f._spectrum
     if spec is None:
-        spec = SpectralVector(f.gen, _axis_pass(f.values, f.gen, -1) / f.gen.size)
+        # Finite cells near the float limit may overflow the sums of the
+        # pass; SpectralVector refuses the result by index, so numpy's
+        # warnings would only say it first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _axis_pass(f.values, f.gen, -1) / f.gen.size
+        spec = SpectralVector(f.gen, coeffs)
         object.__setattr__(f, "_spectrum", spec)
     return spec
 
@@ -269,6 +285,22 @@ def synthesize_rows(coeff_rows: np.ndarray, gen: GeneratorSequence) -> np.ndarra
     return _axis_pass(rows, gen, +1)
 
 
+def _fejer_numerators(ns: np.ndarray, orders: list[int], top: int) -> np.ndarray:
+    """max(n - 1 - j, 0) for each order n in ``ns`` (``orders`` as a list)
+    and each column j < top.
+
+    Consecutive orders n0 + i read entry top - 1 + i - j of one clipped
+    float ramp, through a view that steps +1 down a row and -1 along it, so
+    no (rows, top) array is made; other orders take an integer array.
+    """
+    if orders and orders == list(range(orders[0], orders[0] + len(orders))):
+        ramp = np.arange(orders[0] - top, orders[-1], dtype=np.float64)
+        np.maximum(ramp, 0.0, out=ramp)
+        step = ramp.itemsize
+        return np.ndarray((len(orders), top), np.float64, ramp, (top - 1) * step, (step, -step))
+    return np.maximum(ns[:, None] - 1 - np.arange(top), 0)
+
+
 def _multiplier_rows(
     coeffs: np.ndarray, ns: np.ndarray, gen: GeneratorSequence, *, fejer: bool
 ) -> np.ndarray:
@@ -292,9 +324,11 @@ def _multiplier_rows(
         top = min(gen.size, max(orders, default=1))
         weights = np.zeros((ns.size, gen.size))
         col = ns[:, None]
-        np.divide(np.maximum(col - 1 - np.arange(top), 0), col, out=weights[:, :top])
-        # Rebinding frees the bare weights before the pass: held through it,
-        # they made a Walsh(9) Fejer profile 12% slower (one BLAS thread).
+        np.divide(_fejer_numerators(ns, orders, top), col, out=weights[:, :top])
+        # The whole row is multiplied, so a zero weight keeps the sign of
+        # its coefficient (-0.0 under a negative one).  Rebinding frees the
+        # bare weights before the pass: held through it, they made a
+        # Walsh(9) Fejer profile 12% slower (one BLAS thread).
         weights = weights * coeffs
     else:
         weights = np.zeros((ns.size, gen.size), dtype=np.result_type(coeffs, np.float64))
@@ -330,9 +364,86 @@ def _kernel_blocks(
         yield block, _multiplier_rows(ones, block, gen, fejer=fejer)
 
 
+# Fewest cells of a coarse grid (or M_N, if fewer).  numpy sums a row
+# pairwise in blocks of 128 cells, so on a grid of 2^N cells a coarse row of
+# at least 128 cells sums to the bits of its tiling of the full grid.  With
+# no floor, Walsh(9) counterexample profiles moved by up to 3.6e-9 relative.
+_COARSE_CELLS = 128
+
+
+@lru_cache(maxsize=None)
+def _prefix_grid(m: tuple[int, ...]) -> GeneratorSequence:
+    """GeneratorSequence(m), built once: every profile asks for the same few."""
+    return GeneratorSequence(m)
+
+
+def _coarse_runs(spans: np.ndarray, gen: GeneratorSequence) -> list[tuple[int, int, int]]:
+    """(r, start, stop) for each run of consecutive rows with one coarse rank
+    r, the least r with M_r >= max(span, min(_COARSE_CELLS, M_N)) for a
+    row whose spectrum lies below its span."""
+    floor = min(_COARSE_CELLS, gen.size)
+    if bisect.bisect_left(gen.scale, floor) == gen.depth:
+        # M_{N-1} < the floor, so every row is on the full grid: skipping the
+        # split saves about 10 us a call, 3% of the Lebesgue constants of a
+        # 192-cell grid.
+        return [(gen.depth, 0, spans.size)]
+    ranks = np.searchsorted(gen.scale, np.maximum(spans, floor))
+    cuts = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), spans.size]
+    return list(zip(ranks[cuts[:-1]].tolist(), cuts, cuts[1:]))
+
+
+def _coarse_blocks(
+    coeffs: np.ndarray,
+    ns: np.ndarray,
+    gen: GeneratorSequence,
+    *,
+    fejer: bool,
+    block_bytes: int,
+) -> Iterator[tuple[np.ndarray, GeneratorSequence, np.ndarray]]:
+    """The core's rows of the orders ``ns``, each on the coarsest prefix grid
+    that holds it, as (orders, grid, rows) blocks in the order of ``ns``.
+
+    A row whose spectrum lies below s (s = n for D_n, n - 1 for sigma_n)
+    is constant on depth-r cylinders once M_r >= s
+    (Paley's lemma), so its values on the full grid tile its values on
+    GeneratorSequence(m[:r]).  Each row takes the least r with
+    M_r >= max(s, min(_COARSE_CELLS, M_N)): its grid depends on its order
+    alone, so a block's neighbours never move its bits.  A block holds rows
+    of one grid, at most ``block_bytes`` of them counted as complex (or a
+    single row).  The orders are checked by the caller, against the full
+    grid: sigma_{M_r + 1} lies on the M_r-cell grid.
+    """
+    if not ns.size:
+        return
+    if fejer and np.iscomplexobj(coeffs) and not coeffs.imag.any():
+        coeffs = coeffs.real  # decided on the whole spectrum, not on a prefix
+    for r, start, stop in _coarse_runs(ns - 1 if fejer else ns, gen):
+        grid = gen if r == gen.depth else _prefix_grid(gen.m[:r])
+        step = max(1, block_bytes // (16 * grid.size))
+        for i in range(start, stop, step):
+            block = ns[i : min(i + step, stop)]
+            yield block, grid, _multiplier_rows(coeffs[: grid.size], block, grid, fejer=fejer)
+
+
+def fejer_mean_blocks(
+    coeffs: np.ndarray, ks: Sequence[int], gen: GeneratorSequence, block_bytes: int
+) -> Iterator[tuple[np.ndarray, GeneratorSequence, np.ndarray]]:
+    """sigma_k f for every k in ``ks`` (1 <= k <= M_N), from f's coefficients,
+    as (orders, grid, rows) blocks.  Each row lies on the coarsest prefix
+    grid m[:r] that holds it, the least r with M_r >= max(k - 1, min(128,
+    M_N)): its M_r cells are the first M_r cells of the full grid, which
+    the row tiles.  A block holds at most ``block_bytes`` of rows (or one
+    row), all on one grid."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (gen.size,):
+        raise ValueError(f"expected {gen.size} coefficients, got shape {coeffs.shape}")
+    ks = integer_args("n=", ks, 1, gen.size + 1)
+    return _coarse_blocks(coeffs, ks, gen, fejer=True, block_bytes=block_bytes)
+
+
 def dirichlet(n: int, gen: GeneratorSequence) -> GridFunction:
     """D_n = sum_{k < n} psi_k, materialized on the depth-N grid."""
-    ns = integer_arg("n=", [n], 1, gen.size + 1)
+    ns = integer_args("n=", [n], 1, gen.size + 1)
     return GridFunction(gen, _multiplier_rows(np.ones(gen.size), ns, gen, fejer=False)[0])
 
 
@@ -344,7 +455,7 @@ def dirichlet_rows(
     A block holds at most _ROW_BLOCK_BYTES of rows (or a single row), and
     row i of a block is bit-identical to ``dirichlet(orders[i], gen).values``.
     """
-    return _kernel_blocks(integer_arg("n=", ns, 1, gen.size + 1), gen, fejer=False)
+    return _kernel_blocks(integer_args("n=", ns, 1, gen.size + 1), gen, fejer=False)
 
 
 def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
@@ -353,7 +464,7 @@ def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
     Swapping the two sums gives the multiplier form
     n * K_n = sum_{j <= n-2} (n - 1 - j) * psi_j, used here for speed.
     """
-    ns = integer_arg("n=", [n], 1, gen.size + 1)
+    ns = integer_args("n=", [n], 1, gen.size + 1)
     return GridFunction(gen, _multiplier_rows(np.ones(gen.size), ns, gen, fejer=True)[0])
 
 
@@ -361,7 +472,7 @@ def fejer_kernel_rows(
     ns: Sequence[int], gen: GeneratorSequence
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """K_n for every n in ``ns``, in blocks like ``dirichlet_rows``."""
-    return _kernel_blocks(integer_arg("n=", ns, 1, gen.size + 1), gen, fejer=True)
+    return _kernel_blocks(integer_args("n=", ns, 1, gen.size + 1), gen, fejer=True)
 
 
 def fejer_mean_rows(
@@ -369,7 +480,7 @@ def fejer_mean_rows(
 ) -> np.ndarray:
     """sigma_k f for every k in ``ks``, one row each, from f's coefficients.
     A spectrum with imaginary part exactly 0 synthesizes as a real one."""
-    return _multiplier_rows(coeffs, integer_arg("n=", ks, 1, gen.size + 1), gen, fejer=True)
+    return _multiplier_rows(coeffs, integer_args("n=", ks, 1, gen.size + 1), gen, fejer=True)
 
 
 def partial_sum_rows(
@@ -377,13 +488,13 @@ def partial_sum_rows(
 ) -> np.ndarray:
     """S_n f for every n in ``ns`` (0 <= n <= M_N), one row each, from f's
     coefficients."""
-    return _multiplier_rows(coeffs, integer_arg("n=", ns, 0, gen.size + 1), gen, fejer=False)
+    return _multiplier_rows(coeffs, integer_args("n=", ns, 0, gen.size + 1), gen, fejer=False)
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
     """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f = 0.  At a scale n = M_r
     it is the cylinder mean E_r f by Paley's lemma, taken with no transform."""
-    ns = integer_arg("n=", [n], 0, f.gen.size + 1)
+    ns = integer_args("n=", [n], 0, f.gen.size + 1)
     if ns[0] in f.gen.scale:
         return conditional_expectation(f, f.gen.scale.index(ns[0]))
     coeffs = forward_transform(f).coeffs
@@ -396,16 +507,27 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     Coefficient j < n - 1 appears in S_k f for j < k <= n - 1, i.e. with
     total weight (n - 1 - j)/n; coefficients at or above n - 1 drop out.
     """
-    ns = integer_arg("n=", [n], 1, f.gen.size + 1)
+    ns = integer_args("n=", [n], 1, f.gen.size + 1)
     coeffs = forward_transform(f).coeffs
     return GridFunction(f.gen, _multiplier_rows(coeffs, ns, f.gen, fejer=True)[0])
 
 
 def lebesgue_constants(ns: Sequence[int], gen: GeneratorSequence) -> np.ndarray:
     """L_n = ||D_n||_1 for every n in ``ns``, one L_1 reduction per block of
-    ``dirichlet_rows``; each is bit-identical to lp_quasinorm(D_n, 1)."""
-    blocks = [lp_quasinorm_rows(rows, 1.0) for _, rows in dirichlet_rows(ns, gen)]
-    return np.concatenate(blocks) if blocks else np.empty(0)
+    Dirichlet rows, each row on the coarsest grid that holds it: the least
+    r with M_r >= max(n, min(128, M_N)), as in ``fejer_mean_blocks``.
+
+    L_n is bit-identical to lp_quasinorm(D_n, 1) where that grid is the full
+    grid (n > M_{N-1}, or M_{N-1} < 128 as on 192 or 240 cells), and on
+    grids of 2^N cells (checked on Walsh(9), (12) and (20) and on 4^5);
+    elsewhere (3^7, cycle:2,3,4) it moves by at most a few ulps.
+    """
+    ns = integer_args("n=", ns, 1, gen.size + 1)
+    blocks = _coarse_blocks(
+        np.ones(gen.size), ns, gen, fejer=False, block_bytes=_ROW_BLOCK_BYTES
+    )
+    norms = [lp_quasinorm_rows(rows, 1.0) for _, _, rows in blocks]
+    return np.concatenate(norms) if norms else np.empty(0)
 
 
 def lebesgue_constant(n: int, gen: GeneratorSequence) -> float:

@@ -154,6 +154,11 @@ BAD_INPUTS = [
     # The cell values overflowed: a traceback from building the grid.
     (["counterexample", "--generator", "constant:2", "--depth", "8",
       "--phi", "const:1e308", "--alphas", "2,4"], "'const:1e308': rank 2: lambda_1="),
+    # Finite cells, but the analysis summed M_N of them into inf - inf: a
+    # traceback from the spectrum inside the Fejer profile.
+    (["counterexample", "--generator", "constant:2", "--depth", "8",
+      "--phi", "const:1e306", "--alphas", "2,4"],
+     "'const:1e306': coefficients must be finite, got coeffs[4]=(nan+nanj)"),
 ]
 
 
@@ -424,6 +429,18 @@ def test_lebesgue_csv_is_lebesgue_constant_on_a_mixed_grid(tmp_path):
                      for n in range(1, 65)]
     assert lines == [f"{n},{format(lp_quasinorm(dirichlet(n, gen), 1.0), '.17g')}"
                      for n in range(1, 65)]
+
+
+def test_lebesgue_csv_is_lebesgue_constant_on_coarse_grids(tmp_path):
+    # D_n for n <= 243 lies on the 243 cells of 3^5, the rest on all 729:
+    # a line is L_n alone to the byte, whatever block its row was made in.
+    from vilenkin import lebesgue_constant
+
+    gen = parse_generator("constant:3", 6)
+    assert main(["lebesgue", "--generator", "constant:3", "--depth", "6", "--nmax", "300",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "lebesgue.csv").read_text().splitlines()[1:]
+    assert lines == [f"{n},{format(lebesgue_constant(n, gen), '.17g')}" for n in range(1, 301)]
 
 
 def test_lebesgue_scale_rows_exact(tmp_path):

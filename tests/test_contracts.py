@@ -29,7 +29,7 @@ from vilenkin import (
     variation_table,
     vilenkin_fn,
 )
-from vilenkin.group import digit_values, integer_arg, to_digits, variation
+from vilenkin.group import digit_values, integer_args, to_digits, variation
 from vilenkin.identities import (
     check_block_pattern_lower_bound,
     check_dirichlet_at_scale,
@@ -132,8 +132,20 @@ CONTRACTS = [
     (lambda n: sigma_norm_profile(F, n), 7.0, "nmax=7.0 is not an integer"),
     (lambda n: dirichlet(n, G), 3.0, "n=3.0 is not an integer"),
     # The shared check itself, on an order list holding a numpy bool.
-    (lambda ns: integer_arg("n=", ns, 0, G.size), [3, np.True_],
+    (lambda ns: integer_args("n=", ns, 0, G.size), [3, np.True_],
      "n=True is a bool, not an integer"),
+    # A sequence where one index is expected was read as orders: to_digits
+    # returned one-element digit arrays, and the others raised a bare
+    # TypeError from numpy or from slicing.
+    (lambda n: to_digits(n, G), [5], "n=[5] is not an integer"),
+    (lambda n: conditional_expectation(F, n), [1], "rank [1] is not an integer"),
+    (lambda k: rademacher(k, G), (1,), "rank (1,) is not an integer"),
+    (lambda n: sigma_norm_profile(F, n), [4], "nmax=[4] is not an integer"),
+    (lambda n: dirichlet(n, G), [3], "n=[3] is not an integer"),
+    (lambda ns: integer_args("n=", ns, 0, G.size), [[3]], "n=[3] is not an integer"),
+    (lambda ns: integer_args("n=", ns, 0, G.size), 3, "n=3 is not a sequence of integers"),
+    (lambda ns: integer_args("n=", ns, 0, G.size), np.ones((1, 2), dtype=int),
+     "n=array([[1, 1]]) is not a sequence of integers"),
     # The grid was built first and refused, with no rank or weight named.
     (lambda c: counterexample_martingale(lambda n: c, [1, 2], G), 1e308,
      f"rank 1: lambda_1={1e308 / math.log(2)} overflows the cell value at 0"),
@@ -158,7 +170,9 @@ CONTRACTS = [
          "cylinder-bool-rank", "digit_values-bool", "dirichlet_scaled-bool",
          "digit_tail_bound-bool", "counterexample-bool-rank", "select_alphas-bool",
          "variation_table-bool", "sigma_profile-integral-float", "dirichlet-integral-float",
-         "integer_arg-numpy-bool", "counterexample-overflow"],
+         "integer_args-numpy-bool", "to_digits-list", "E_n-list", "rademacher-tuple",
+         "sigma_profile-list", "dirichlet-list", "integer_args-nested", "integer_args-scalar",
+         "integer_args-2d", "counterexample-overflow"],
 )
 def test_bad_argument_is_refused_by_value(call, bad, fragment):
     with warnings.catch_warnings():

@@ -29,7 +29,7 @@ from vilenkin import (
 )
 from vilenkin import hardy
 from vilenkin.hardy import partial_sum_norm_profile
-from vilenkin.transform import partial_sum_rows
+from vilenkin.transform import fejer_mean_rows, partial_sum_rows
 
 from conftest import random_function
 
@@ -428,55 +428,151 @@ def test_profile_orders_refuse_floats(entry):
 def profile_blocks(monkeypatch):
     """Record the number of rows of each Fejer block sigma_norm_profile asks for."""
     sizes = []
-    rows = hardy.fejer_mean_rows
+    blocks = hardy.fejer_mean_blocks
 
-    def spy(coeffs, ks, gen):
-        sizes.append(len(ks))
-        return rows(coeffs, ks, gen)
+    def spy(coeffs, ks, gen, block_bytes):
+        for block in blocks(coeffs, ks, gen, block_bytes):
+            sizes.append(len(block[0]))
+            yield block
 
-    monkeypatch.setattr(hardy, "fejer_mean_rows", spy)
+    monkeypatch.setattr(hardy, "fejer_mean_blocks", spy)
     return sizes
 
 
+# Each row sigma_k f lies on the coarsest grid m[:r] with
+# M_r >= max(k - 1, 128), so a block holds rows of one grid: k <= 129 on
+# 128 cells, k <= 257 on 256 cells, and so on.  1 MiB is 512 rows of 128
+# cells, 256 of 256, 128 of 512.
 @pytest.mark.parametrize("hardy_norm", [False, True], ids=["plain", "hardy"])
 def test_sigma_profile_blocks_capped_in_bytes_keep_bytes(monkeypatch, hardy_norm):
     sizes = profile_blocks(monkeypatch)
-    g12 = GeneratorSequence.walsh(12)  # 1 MiB is 16 rows of 4096 cells
+    g12 = GeneratorSequence.walsh(12)
     sigma_norm_profile(random_function(g12, np.random.default_rng(8)), 130, hardy_norm)
-    assert sizes == [16] * 8 + [2]
-    g = GeneratorSequence.walsh(13)  # 8 rows a block
+    assert sizes == [129, 1]
+    g = GeneratorSequence.walsh(13)
     f = random_function(g, np.random.default_rng(9))
     sizes.clear()
+    monkeypatch.setattr(hardy, "_ROW_BYTES", 1 << 15)  # 16 rows of 128 cells, 8 of 256
     capped = sigma_norm_profile(f, 150, hardy_norm)
-    assert sizes == [8] * 18 + [6]
+    assert sizes == [16] * 8 + [1] + [8] * 2 + [5]
     monkeypatch.setattr(hardy, "_ROW_BYTES", 1 << 40)
     sizes.clear()
     uncapped = sigma_norm_profile(f, 150, hardy_norm)
-    assert sizes == [150]  # no row cap: one block
+    assert sizes == [129, 21]  # no row cap: one block per grid
     assert capped.tobytes() == uncapped.tobytes()
 
 
 def test_sigma_profile_blocks_on_the_divergence_grid(monkeypatch):
     sizes = profile_blocks(monkeypatch)
-    g = GeneratorSequence.walsh(9)  # 1 MiB is 128 rows of 512 cells
+    g = GeneratorSequence.walsh(9)
     sigma_norm_profile(random_function(g, np.random.default_rng(11)), 512, hardy=True)
-    assert sizes == [128] * 4
+    assert sizes == [129, 128, 128, 127]
 
 
-def test_hardy_profile_peak_allocation_bounded_by_byte_cap():
-    g = GeneratorSequence.walsh(15)  # 2 rows a block
+def full_grid_profile(f, ks, hardy_norm):
+    """The profile entries of the orders ``ks``, every row synthesized and
+    reduced on all M_N cells."""
+    gen = f.gen
+    rows = fejer_mean_rows(forward_transform(f).coeffs, ks, gen)
+    star = hardy._maximal_abs(rows, gen) if hardy_norm else np.abs(rows)
+    return np.mean(np.sqrt(star), axis=-1)
+
+
+def boundary_orders(g):
+    """Every order up to 130, and the orders around each rank boundary above,
+    up to the first rows on the full grid, k - 1 > M_{N-1}."""
+    ks = set(range(1, min(g.size, 130) + 1))
+    for M in g.scale[1:-1]:
+        ks.update(k for k in range(M - 1, M + 4) if k <= g.size)
+    return np.array(sorted(ks))
+
+
+def walsh_function(depth, real):
+    f = random_function(GeneratorSequence.walsh(depth), np.random.default_rng(depth))
+    return GridFunction(f.gen, f.values.real) if real else f
+
+
+# Real Walsh rows past Walsh(10) take a float64 matmul whose bits depend on
+# the grid (up to 4.4e-16 relative on Walsh(12)); complex rows do not.
+COARSE_WALSH = [
+    pytest.param(walsh_function(9, real=False), id="walsh9-complex"),
+    pytest.param(walsh_function(9, real=True), id="walsh9-real"),
+    pytest.param(walsh_function(12, real=False), id="walsh12-complex"),
+]
+
+
+@pytest.mark.parametrize("f", COARSE_WALSH)
+@pytest.mark.parametrize("hardy_norm", [False, True], ids=["plain", "hardy"])
+def test_coarse_profile_is_byte_equal_to_the_full_grid_on_walsh(f, hardy_norm):
+    ks = boundary_orders(f.gen)
+    profile = sigma_norm_profile(f, ks[-1], hardy_norm)
+    assert profile[ks - 1].tobytes() == full_grid_profile(f, ks, hardy_norm).tobytes()
+
+
+COARSE_OTHER = [
+    pytest.param(GeneratorSequence.constant(3, 7), id="3^7"),
+    pytest.param(GeneratorSequence.cycle([2, 3, 4], 9), id="cycle234x9"),
+    pytest.param(GeneratorSequence.walsh(12), id="walsh12-real"),
+]
+
+
+@pytest.mark.parametrize("g", COARSE_OTHER)
+@pytest.mark.parametrize("hardy_norm", [False, True], ids=["plain", "hardy"])
+def test_coarse_profile_agrees_with_the_full_grid(g, hardy_norm):
+    f = random_function(g, np.random.default_rng(g.size))
+    if g.m[0] == 2:
+        f = GridFunction(g, f.values.real)
+    ks = boundary_orders(g)
+    profile = sigma_norm_profile(f, ks[-1], hardy_norm)[ks - 1]
+    assert np.all(np.abs(profile - full_grid_profile(f, ks, hardy_norm)) <= 1e-15 * profile)
+
+
+def test_profile_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    # Each row's grid depends on its order alone, so no block size moves a
+    # bit, even where a coarse row's bits differ from the full grid's.
+    f = random_function(GeneratorSequence.constant(3, 6), np.random.default_rng(4))
+    profiles = []
+    for row_bytes in (1, 1 << 12, 1 << 20, 1 << 40):
+        monkeypatch.setattr(hardy, "_ROW_BYTES", row_bytes)
+        profiles.append(sigma_norm_profile(f, f.gen.size, hardy=True).tobytes())
+    assert len(set(profiles)) == 1
+
+
+def test_short_profiles_run_on_a_coarse_grid(monkeypatch):
+    grids = []
+    blocks = hardy.fejer_mean_blocks
+
+    def spy(coeffs, ks, gen, block_bytes):
+        for block in blocks(coeffs, ks, gen, block_bytes):
+            grids.append(block[1].size)
+            yield block
+
+    monkeypatch.setattr(hardy, "fejer_mean_blocks", spy)
+    f = walsh_function(9, real=False)
+    assert sigma_norm_profile(f, 1).tobytes() == np.zeros(1).tobytes()
+    expected = np.sum(full_grid_profile(f, [1, 2], True)) / (2 * math.log(2))
+    # An order check on the coarse grid would refuse n = 2 there.
+    assert strong_sums(f, 2, mode="fejer_weighted") == expected
+    assert grids == [128, 128]
+
+
+def test_hardy_profile_peak_allocation_bounded_by_byte_cap(monkeypatch):
+    g = GeneratorSequence.walsh(12)
     f = random_function(g, np.random.default_rng(10))
-    sigma_norm_profile(f, 2, hardy=True)  # fills the run-matrix caches
+    # 2 rows of the full grid a block, up to 8 of Walsh(10), 32 of Walsh(8).
+    monkeypatch.setattr(hardy, "_ROW_BYTES", 1 << 17)
+    sigma_norm_profile(f, g.size, hardy=True)  # fills the caches of every grid
     tracemalloc.start()
     try:
-        sigma_norm_profile(f, 40, hardy=True)
+        sigma_norm_profile(f, g.size, hardy=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Measured 5.00 x 1 MiB (numpy 2.4), the same as a plain profile, so the
-    # peak lies in the synthesis of a 2-row block.  With at most 128 rows
-    # and 8 MiB a block, it was 4.56 x 8 MiB.
-    assert peak <= 5.1 * hardy._ROW_BYTES
+    # Measured 5.03 x 128 KiB past the orders and the profile (8 bytes an
+    # order each; numpy 2.4), so the peak lies in the synthesis of a block.
+    # On full-grid blocks of 1 MiB (Walsh(15)) it was 5.00 x 1 MiB, and with
+    # at most 128 rows and 8 MiB a block, 4.56 x 8 MiB.
+    assert peak <= 5.1 * hardy._ROW_BYTES + 16 * g.size
 
 
 # --- the partial-sum row engine ----------------------------------------------

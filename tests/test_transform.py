@@ -19,7 +19,9 @@ from vilenkin import (
     integrate,
     inverse_transform,
     lebesgue_constant,
+    lebesgue_constants,
     lp_quasinorm,
+    lp_quasinorm_rows,
     naive_forward_transform,
     partial_sum,
     rademacher,
@@ -38,6 +40,7 @@ from vilenkin.transform import (
     _digit_runs,
     dirichlet_rows,
     fejer_kernel_rows,
+    fejer_mean_blocks,
     fejer_mean_rows,
     partial_sum_rows,
     synthesize_rows,
@@ -393,6 +396,22 @@ def test_kernel_rows_keep_order_and_validate_eagerly():
     assert list(dirichlet_rows([], g)) == []
 
 
+def test_fejer_mean_blocks_keep_order_and_validate_eagerly():
+    g = GeneratorSequence.walsh(9)
+    coeffs = forward_transform(random_function(g, np.random.default_rng(2))).coeffs
+    ks = [300, 1, 129, 130, 512, 2]
+    blocks = list(fejer_mean_blocks(coeffs, ks, g, 1 << 20))
+    assert [(block.tolist(), grid.size) for block, grid, _ in blocks] == [
+        ([300], 512), ([1, 129], 128), ([130], 256), ([512], 512), ([2], 128)]
+    for block, grid, rows in blocks:
+        assert rows.shape == (block.size, grid.size)
+    with pytest.raises(ValueError, match="n=513 out of range"):
+        fejer_mean_blocks(coeffs, [1, 513], g, 1 << 20)  # before any block
+    with pytest.raises(ValueError, match=r"expected 512 coefficients, got shape \(128,\)"):
+        fejer_mean_blocks(coeffs[:128], [1], g, 1 << 20)
+    assert list(fejer_mean_blocks(coeffs, [], g, 1 << 20)) == []
+
+
 NON_INTEGER_ORDERS = [2.5, math.nan, math.inf]
 
 
@@ -402,13 +421,14 @@ NON_INTEGER_ORDERS = [2.5, math.nan, math.inf]
     [
         lambda f, n: dirichlet_rows([1, n], f.gen),
         lambda f, n: fejer_mean_rows(forward_transform(f).coeffs, [1, n], f.gen),
+        lambda f, n: fejer_mean_blocks(forward_transform(f).coeffs, [1, n], f.gen, 1 << 20),
         lambda f, n: partial_sum_rows(forward_transform(f).coeffs, [1, n], f.gen),
         lambda f, n: dirichlet(n, f.gen),
         lambda f, n: fejer_kernel(n, f.gen),
         lambda f, n: fejer_mean(f, n),
         lambda f, n: partial_sum(f, n),
     ],
-    ids=["dirichlet_rows", "fejer_mean_rows", "partial_sum_rows",
+    ids=["dirichlet_rows", "fejer_mean_rows", "fejer_mean_blocks", "partial_sum_rows",
          "dirichlet", "fejer_kernel", "fejer_mean", "partial_sum"],
 )
 def test_order_entry_points_refuse_non_integer_orders(entry, n):
@@ -688,6 +708,81 @@ def test_lebesgue_at_scales(gen):
 def test_lebesgue_walsh_hand_values():
     assert lebesgue_constant(2, WALSH) == pytest.approx(1.0)
     assert lebesgue_constant(3, WALSH) == pytest.approx(1.5)
+
+
+def lebesgue_orders(g):
+    """Every order up to 130, and the orders around each rank boundary above."""
+    ns = set(range(1, min(g.size, 130) + 1))
+    for M in g.scale[1:]:
+        ns.update(n for n in range(M - 2, M + 3) if 1 <= n <= g.size)
+    return sorted(ns)
+
+
+def full_grid_lebesgue(ns, g):
+    return np.concatenate([lp_quasinorm_rows(rows, 1.0) for _, rows in dirichlet_rows(ns, g)])
+
+
+@pytest.mark.parametrize("g", [GeneratorSequence.walsh(9), GeneratorSequence.walsh(12)],
+                         ids=["walsh9", "walsh12"])
+def test_coarse_lebesgue_constants_are_byte_equal_to_the_full_grid_on_walsh(g):
+    ns = lebesgue_orders(g)
+    assert lebesgue_constants(ns, g).tobytes() == full_grid_lebesgue(ns, g).tobytes()
+
+
+@pytest.mark.parametrize(
+    "g", [GeneratorSequence.constant(3, 7), GeneratorSequence.cycle([2, 3, 4], 9)],
+    ids=["3^7", "cycle234x9"],
+)
+def test_coarse_lebesgue_constants_agree_with_the_full_grid(g):
+    ns = lebesgue_orders(g)
+    got = lebesgue_constants(ns, g)
+    assert np.all(np.abs(got - full_grid_lebesgue(ns, g)) <= 1e-15 * got)
+    # Each order's grid depends on the order alone: alone, reversed or in
+    # any block, L_n has the same bits.
+    assert lebesgue_constants(ns[::-1], g).tobytes() == got[::-1].tobytes()
+    assert [lebesgue_constant(n, g) for n in ns] == got.tolist()
+
+
+def test_walsh20_lebesgue_constants_take_coarse_rows():
+    # On the full grid this is 64 rows of 2^20 cells (0.6 s); each row of
+    # D_n, n <= 64, lies on the 128 cells of Walsh(7).
+    g = GeneratorSequence.walsh(20)
+    got = lebesgue_constants(range(1, 65), g)
+    assert got.tobytes() == full_grid_lebesgue(range(1, 65), GeneratorSequence.walsh(7)).tobytes()
+
+
+def fejer_weights(coeffs, ns, g, monkeypatch):
+    """The weighted coefficients the core hands to the synthesis."""
+    seen = []
+    synthesis = transform._axis_pass
+
+    def spy(values, gen, sign):
+        seen.append(values.copy())
+        return synthesis(values, gen, sign)
+
+    monkeypatch.setattr(transform, "_axis_pass", spy)
+    fejer_mean_rows(coeffs, ns, g)
+    monkeypatch.setattr(transform, "_axis_pass", synthesis)
+    return seen[0]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_ramp_weights_are_byte_equal_to_clipped_integer_weights(monkeypatch, real):
+    g = GeneratorSequence.walsh(6)
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=g.size) - 0.5
+    if not real:
+        coeffs = coeffs + 1j * rng.normal(size=g.size)
+    coeffs[[5, 40, 63]] = -1.0  # negative under a zero weight of every row below
+    for ns in (np.arange(20, 37), np.arange(1, 65), np.array([3]), np.array([9, 4, 30, 17])):
+        k = ns[:, None]
+        expected = np.maximum(k - 1 - np.arange(g.size), 0) / k * coeffs
+        got = fejer_weights(coeffs, ns, g, monkeypatch)
+        assert got.tobytes() == expected.tobytes()
+        assert np.signbit(got.real[:, 63]).all()  # 0 * -1.0
+    consecutive = fejer_weights(coeffs, np.arange(20, 37), g, monkeypatch)
+    shuffled = fejer_weights(coeffs, np.arange(36, 19, -1), g, monkeypatch)
+    assert shuffled.tobytes() == consecutive[::-1].tobytes()
 
 
 def test_spectral_vector_validation():
