@@ -28,6 +28,8 @@ cli lebesgue --generator constant:4 --depth 5 --nmax 100 --out "$out/lebesgue-ra
 # A bench grid of 192 cells: many complex kernel rows in each block.
 cli lebesgue --generator 2,2,2,3,2,4 --out "$out/lebesgue-mixed"
 cli kernels --generator 2,2,2,3,2,4 --nmax 16 --out "$out/kernels-mixed"
+# A radix-5 bench grid: many distinct complex values in each block's table.
+cli kernels --generator 2,2,2,2,3,5 --nmax 16 --out "$out/kernels-radix5"
 # Dirichlet rows on their coarse grids, at exactly the 2^26-cell budget.
 cli lebesgue --generator constant:2 --depth 20 --out "$out/lebesgue-walsh20"
 cli counterexample --generator constant:2 --depth 12 \

@@ -154,9 +154,15 @@ def group_sub(
 
 @lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry of 1
 def digit_values(gen: GeneratorSequence, k: int) -> np.ndarray:
-    """Digit x_k of every index, as an integer array of length M_N."""
+    """Digit x_k of every index, as an integer array of length M_N.
+
+    The array is the cache entry itself, so it is read-only: a write to it
+    would change every later answer for (gen, k).
+    """
     k = integer_arg("digit position ", k, 0, gen.depth)
-    return (np.arange(gen.size) // gen.scale[k]) % gen.m[k]
+    values = (np.arange(gen.size) // gen.scale[k]) % gen.m[k]
+    values.setflags(write=False)
+    return values
 
 
 def cylinder_indices(x: Sequence[int], n: int, gen: GeneratorSequence) -> np.ndarray:

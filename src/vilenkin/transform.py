@@ -157,12 +157,15 @@ def _run_matrix(radices: tuple[int, ...], sign: int, complex_rows: bool) -> np.n
 
     A matrix whose entries are all real (a run of radix 2) is float64,
     except for complex rows: numpy would cast it to complex on every call,
-    to the same bits as this complex copy.
+    to the same bits as this complex copy.  The cached matrix is read-only.
     """
     w = np.ones((1, 1), dtype=np.complex128)
     for base in reversed(radices):
         w = np.kron(w, _char_matrix(base, sign))
-    return w if complex_rows or w.imag.any() else w.real.copy()
+    if not (complex_rows or w.imag.any()):
+        w = w.real.copy()
+    w.setflags(write=False)
+    return w
 
 
 def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndarray:
@@ -411,7 +414,8 @@ def _coarse_blocks(
     alone, so a block's neighbours never move its bits.  A block holds rows
     of one grid, at most ``block_bytes`` of them counted as complex (or a
     single row).  The orders are checked by the caller, against the full
-    grid: sigma_{M_r + 1} lies on the M_r-cell grid.
+    grid: sigma_{M_r + 1} lies on the M_r-cell grid.  ``coeffs`` may stop
+    at the largest of these grids.
     """
     if not ns.size:
         return
@@ -523,11 +527,16 @@ def lebesgue_constants(ns: Sequence[int], gen: GeneratorSequence) -> np.ndarray:
     elsewhere (3^7, cycle:2,3,4) it moves by at most a few ulps.
     """
     ns = integer_args("n=", ns, 1, gen.size + 1)
+    if not ns.size:
+        return np.empty(0)
+    # A row reads the first M_r ones of the spectrum, so ones up to the grid
+    # of the largest order serve every row: 128 of them on Walsh(20) at
+    # n <= 64, not 2^20.
+    ((top, _, _),) = _coarse_runs(ns.max(keepdims=True), gen)
     blocks = _coarse_blocks(
-        np.ones(gen.size), ns, gen, fejer=False, block_bytes=_ROW_BLOCK_BYTES
+        np.ones(gen.scale[top]), ns, gen, fejer=False, block_bytes=_ROW_BLOCK_BYTES
     )
-    norms = [lp_quasinorm_rows(rows, 1.0) for _, _, rows in blocks]
-    return np.concatenate(norms) if norms else np.empty(0)
+    return np.concatenate([lp_quasinorm_rows(rows, 1.0) for _, _, rows in blocks])
 
 
 def lebesgue_constant(n: int, gen: GeneratorSequence) -> float:

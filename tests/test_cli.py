@@ -368,7 +368,17 @@ def _old_kernel_csv(kernel, gen, nmax):
 
 
 @pytest.mark.parametrize(
-    "spec, depth, nmax", [("constant:2", 5, 32), ("cycle:2,3,4", 4, 40), ("constant:3", 5, 243)]
+    "spec, depth, nmax",
+    [
+        ("constant:2", 5, 32),
+        ("cycle:2,3,4", 4, 40),
+        ("constant:3", 5, 243),
+        # The radix-5 bench grids: many distinct complex values per block.
+        ("2,2,2,2,3,5", 6, 16),
+        ("5,3,2,2,2,2", 6, 16),
+        # M_N = 8192 > 4096 cells: every block is a single row.
+        ("constant:2", 13, 3),
+    ],
 )
 def test_kernel_csvs_byte_equal_to_per_n_formatting(tmp_path, spec, depth, nmax):
     from vilenkin import dirichlet, fejer_kernel

@@ -141,6 +141,32 @@ def test_weak_lp_matches_value_loop(rng):
                 assert weak_lp(f, p) == pytest.approx(weak_lp_loop(f, p), rel=4e-16, abs=0)
 
 
+def weak_lp_oracle(f, p):
+    """max over the distinct values v > 0 of v^p * #{|f| >= v} / M_N, each
+    count made cell by cell."""
+    mag = np.abs(f.values).tolist()
+    return max(
+        (v**p * sum(1 for x in mag if x >= v) / len(mag) for v in set(mag) if v > 0),
+        default=0.0,
+    )
+
+
+def test_weak_lp_with_ties_and_zero_cells_matches_oracle(rng):
+    gen = GeneratorSequence((2, 3, 4, 2))
+    # Integer values give many ties; a third of the cells are exactly 0.
+    values = rng.integers(-3, 4, size=gen.size) * (rng.random(gen.size) > 1 / 3)
+    cases = [
+        values.astype(float),
+        values * (1 - 1j),
+        np.where(np.arange(gen.size) % 2, 2.5, 0.0),
+        np.zeros(gen.size),
+    ]
+    for v in cases:
+        f = GridFunction(gen, v)
+        for p in (0.5, 1.0, 3.0):
+            assert weak_lp(f, p) == pytest.approx(weak_lp_oracle(f, p), rel=4e-16, abs=0)
+
+
 def test_lp_large_exponent_does_not_overflow():
     f = GridFunction(WALSH, np.array([3.0, 1.0, -2.0, 0.0, 1.0, 2.0, 3.0, -1.0]))
     with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ def test_rademacher_mean_zero_and_unimodular(gen):
         assert abs(np.mean(r.values)) < 1e-12
         assert np.allclose(np.abs(r.values), 1.0)
         assert np.allclose(r.values ** gen.m[k], 1.0)
+
+
+def test_cached_tables_are_read_only():
+    from vilenkin.group import digit_values
+
+    g = GeneratorSequence.walsh(3)
+    before = rademacher(0, g).values.copy()
+    table = digit_values(g, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 7
+    assert rademacher(0, g).values.tobytes() == before.tobytes()
+    assert digit_values(g, 0).tolist() == [0, 1] * 4
+    for radices, complex_rows in (((2, 2), False), ((2, 2), True), ((3, 4), False)):
+        w = transform._run_matrix(radices, +1, complex_rows)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 7
 
 
 def test_rademacher_rejects_deep_rank(gen):
@@ -747,8 +764,17 @@ def test_walsh20_lebesgue_constants_take_coarse_rows():
     # On the full grid this is 64 rows of 2^20 cells (0.6 s); each row of
     # D_n, n <= 64, lies on the 128 cells of Walsh(7).
     g = GeneratorSequence.walsh(20)
-    got = lebesgue_constants(range(1, 65), g)
+    lebesgue_constants(range(1, 65), g)  # builds the prefix grids once
+    tracemalloc.start()
+    try:
+        got = lebesgue_constants(range(1, 65), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert got.tobytes() == full_grid_lebesgue(range(1, 65), GeneratorSequence.walsh(7)).tobytes()
+    # The all-ones spectrum stops at the 128 cells of the largest row's grid:
+    # on all 2^20 cells it alone was 8 MiB.
+    assert peak < 1 << 18
 
 
 def fejer_weights(coeffs, ns, g, monkeypatch):
