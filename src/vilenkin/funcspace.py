@@ -144,17 +144,12 @@ def weak_lp(f: GridFunction, p: float) -> float:
     The distribution function of a step function jumps only at the distinct
     values of |f|, and the supremum is attained as t increases to one of
     them, so it equals max_v v^p * mu{|f| >= v}.  In sorted order the cells
-    with |f| >= v are those from the first occurrence of v on, where v
-    differs from its left neighbour.
+    with |f| >= v are those from the first occurrence of v on.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     mag = np.sort(np.abs(f.values))
-    starts = np.empty(mag.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(mag[1:], mag[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
-    v = mag[first]
+    v, first = np.unique(mag, return_index=True)
     pos = v > 0
     measure = (mag.size - first[pos]) / mag.size
     return float(np.max(v[pos] ** p * measure, initial=0.0))

@@ -414,8 +414,7 @@ def _coarse_blocks(
     alone, so a block's neighbours never move its bits.  A block holds rows
     of one grid, at most ``block_bytes`` of them counted as complex (or a
     single row).  The orders are checked by the caller, against the full
-    grid: sigma_{M_r + 1} lies on the M_r-cell grid.  ``coeffs`` may stop
-    at the largest of these grids.
+    grid: sigma_{M_r + 1} lies on the M_r-cell grid.
     """
     if not ns.size:
         return
@@ -527,16 +526,12 @@ def lebesgue_constants(ns: Sequence[int], gen: GeneratorSequence) -> np.ndarray:
     elsewhere (3^7, cycle:2,3,4) it moves by at most a few ulps.
     """
     ns = integer_args("n=", ns, 1, gen.size + 1)
-    if not ns.size:
-        return np.empty(0)
-    # A row reads the first M_r ones of the spectrum, so ones up to the grid
-    # of the largest order serve every row: 128 of them on Walsh(20) at
-    # n <= 64, not 2^20.
-    ((top, _, _),) = _coarse_runs(ns.max(keepdims=True), gen)
+    # A zero-stride view: each row copies only its first n ones.
     blocks = _coarse_blocks(
-        np.ones(gen.scale[top]), ns, gen, fejer=False, block_bytes=_ROW_BLOCK_BYTES
+        np.broadcast_to(1.0, gen.size), ns, gen, fejer=False, block_bytes=_ROW_BLOCK_BYTES
     )
-    return np.concatenate([lp_quasinorm_rows(rows, 1.0) for _, _, rows in blocks])
+    norms = [lp_quasinorm_rows(rows, 1.0) for _, _, rows in blocks]
+    return np.concatenate(norms) if norms else np.empty(0)
 
 
 def lebesgue_constant(n: int, gen: GeneratorSequence) -> float:
