@@ -30,6 +30,9 @@ cli lebesgue --generator 2,2,2,3,2,4 --out "$out/lebesgue-mixed"
 cli kernels --generator 2,2,2,3,2,4 --nmax 16 --out "$out/kernels-mixed"
 # A radix-5 bench grid: many distinct complex values in each block's table.
 cli kernels --generator 2,2,2,2,3,5 --nmax 16 --out "$out/kernels-radix5"
+# Rows of 27 648 complex cells (432 KiB): the axis pass applies its later
+# runs in place.
+cli kernels --generator cycle:2,3,4 --depth 10 --nmax 3 --out "$out/kernels-inplace"
 # Dirichlet rows on their coarse grids, at exactly the 2^26-cell budget.
 cli lebesgue --generator constant:2 --depth 20 --out "$out/lebesgue-walsh20"
 cli counterexample --generator constant:2 --depth 12 \

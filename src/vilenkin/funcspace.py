@@ -115,7 +115,8 @@ def lp_quasinorm_rows(values: np.ndarray, p: float) -> np.ndarray:
 
     Each row is scaled by its largest magnitude first, so powers stay <= 1
     and no finite p overflows; an all-zero row gives 0.0.  A row's result
-    does not depend on the rows beside it.
+    does not depend on the rows beside it.  A row with a cell that is not
+    finite (a cylinder mean of cells near the float limit) is refused.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
@@ -123,6 +124,8 @@ def lp_quasinorm_rows(values: np.ndarray, p: float) -> np.ndarray:
     lead = mag.shape[:-1]
     mag = mag.reshape(-1, mag.shape[-1])
     top = mag.max(axis=-1)
+    if not np.isfinite(top).all():
+        raise ValueError("cell values must be finite")
     # Zero rows divide by 1: 0**p = 0 keeps them at 0.0 with no warning.
     # In place: a block of rows needs no second copy of its magnitudes.
     mag /= np.where(top > 0.0, top, 1.0)[:, None]

@@ -152,17 +152,27 @@ def group_sub(
     return tuple((a - b) % mk for a, b, mk in zip(_point(x, gen), _point(y, gen), gen.m))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry of 1
 def digit_values(gen: GeneratorSequence, k: int) -> np.ndarray:
     """Digit x_k of every index, as an integer array of length M_N.
 
-    The array is the cache entry itself, so it is read-only: a write to it
-    would change every later answer for (gen, k).
+    The array is a cache entry, so it is read-only: a write to it would
+    change every later answer for (gen, k).  ``k`` is checked before the
+    cache is asked, so a list or a bool is refused by value; the cache
+    holds checked ints, and its ``cache_info`` and ``cache_clear`` are
+    this function's.
     """
-    k = integer_arg("digit position ", k, 0, gen.depth)
+    return _digit_values(gen, integer_arg("digit position ", k, 0, gen.depth))
+
+
+@lru_cache(maxsize=None)
+def _digit_values(gen: GeneratorSequence, k: int) -> np.ndarray:
     values = (np.arange(gen.size) // gen.scale[k]) % gen.m[k]
     values.setflags(write=False)
     return values
+
+
+digit_values.cache_info = _digit_values.cache_info  # type: ignore[attr-defined]
+digit_values.cache_clear = _digit_values.cache_clear  # type: ignore[attr-defined]
 
 
 def cylinder_indices(x: Sequence[int], n: int, gen: GeneratorSequence) -> np.ndarray:

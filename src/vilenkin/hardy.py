@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcspace import GridFunction, lp_quasinorm
+from .funcspace import GridFunction, lp_quasinorm_rows
 from .group import GeneratorSequence, cylinder_indices, integer_arg, integer_args
 from .transform import (
     fejer_mean_blocks,
@@ -72,8 +72,9 @@ def maximal_function(f: GridFunction) -> GridFunction:
 
 
 def function_hardy_quasinorm(f: GridFunction, p: float) -> float:
-    """||f||_{H_p} = ||f*||_p for the martingale of conditional expectations of f."""
-    return lp_quasinorm(maximal_function(f), p)
+    """||f||_{H_p} = ||f*||_p for the martingale of conditional expectations
+    of f, reduced from the float64 f* with no complex copy of it."""
+    return float(lp_quasinorm_rows(_maximal_abs(f.values, f.gen), p))
 
 
 @dataclass(frozen=True)

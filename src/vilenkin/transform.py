@@ -36,10 +36,15 @@ A row whose spectrum lies below M_r is constant on depth-r cylinders, so
 the Fejer-mean rows of a norm profile and the Dirichlet rows of the Lebesgue
 constants are synthesized and reduced on the coarsest prefix grid m[:r]
 that holds each row, of at least 128 cells (or M_N): L_n for n <= 64 on
-Walsh(20) reads 128 cells, not 2^20.  Kernels, single means and partial
-sums are made on the full grid.  The CLI's cell budgets still count
-rows * M_N, so for profiles and Lebesgue constants they are an upper bound
-on the cells synthesized.
+Walsh(20) reads 128 cells, not 2^20.  A single mean sigma_n f, and S_n f
+off the scales, is synthesized on that grid too and tiled once onto the
+full grid.  Kernels are made on the full grid.  The CLI's cell budgets
+still count rows * M_N, so for profiles and Lebesgue constants they are an
+upper bound on the cells synthesized.
+
+No transform builds a grid that nothing reads: the axis pass applies its
+later runs in place where it can (see _axis_pass), and forward_transform
+scales its own result.
 """
 
 from __future__ import annotations
@@ -180,6 +185,17 @@ def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndar
 
     The dtype alone picks the arithmetic: float64 rows stay float64 through
     real run matrices, and numpy promotes them at the first complex run.
+
+    The first run writes the one fresh result, and ``values`` is only read.
+    A later run of an array larger than _ROW_BLOCK_BYTES that holds several
+    (G, post) matrices, and that needs no promotion, is applied in place:
+    chunks of whole matrices go through one temporary, each matrix through
+    the same BLAS call as ``w @ arr``, so the bits do not move.  On a grid
+    beyond L2 a fresh array per run costs more than its arithmetic: freed
+    grids go back to the kernel, and the first touch of each new page is a
+    page fault.  The last matrix of a pass is never split by columns: that
+    moved bits.  At depth 0 there is no run, and the result is a view of
+    ``values``.
     """
     lead = values.shape[:-1]
     batch = math.prod(lead)
@@ -191,10 +207,26 @@ def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndar
         pre = gen.size // (g * post)
         if post == 1:
             arr = arr.reshape(batch, pre, g) @ w.T
+        elif arr.nbytes > _ROW_BLOCK_BYTES and batch * pre > 1 and w.dtype == arr.dtype:
+            # arr is a matmul result with one loop axis or C-ordered ones,
+            # so it is C-contiguous and the reshape is a view.
+            _matmul_in_place(w, arr.reshape(batch * pre, g, post))
         else:
             arr = w @ arr.reshape(batch, pre, g, post)
         post *= g
     return arr.reshape(lead + (gen.size,))
+
+
+def _matmul_in_place(w: np.ndarray, mats: np.ndarray) -> None:
+    """mats[i] = w @ mats[i] for each matrix, in chunks of whole matrices
+    through one temporary of at most _ROW_BLOCK_BYTES (or one matrix)."""
+    step = max(1, _ROW_BLOCK_BYTES // mats[0].nbytes)
+    tmp = np.empty((min(step, len(mats)),) + mats.shape[1:], dtype=mats.dtype)
+    for start in range(0, len(mats), step):
+        blk = mats[start : start + step]
+        out = tmp[: len(blk)]
+        np.matmul(w, blk, out=out)
+        blk[...] = out
 
 
 def forward_transform(f: GridFunction) -> SpectralVector:
@@ -209,7 +241,9 @@ def forward_transform(f: GridFunction) -> SpectralVector:
         # pass; SpectralVector refuses the result by index, so numpy's
         # warnings would only say it first.
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = _axis_pass(f.values, f.gen, -1) / f.gen.size
+            coeffs = _axis_pass(f.values, f.gen, -1)
+            if f.gen.depth:  # else coeffs is a view of f.values, and M_N = 1
+                coeffs /= f.gen.size
         spec = SpectralVector(f.gen, coeffs)
         object.__setattr__(f, "_spectrum", spec)
     return spec
@@ -312,18 +346,17 @@ def _multiplier_rows(
 
     w_n is the S_n truncation, or with ``fejer`` the Fejer weights
     max(n - 1 - j, 0)/n.  Truncation copies the coefficients below n into
-    zeros: multiplying by 0 would leave -0.0 where a part is negative.  A
-    spectrum whose imaginary part is exactly 0 takes the Fejer weights as a
-    real one.  S_0 f = 0 and K_1 = sigma_1 f = 0 are set to +0 here: the
-    synthesis of a zero row leaves -0.0 on radix-3 grids.
+    zeros: multiplying by 0 would leave -0.0 where a part is negative.  The
+    public entries pass a spectrum whose imaginary part is exactly 0 as its
+    real part (``_real_if_exact``), so the core scans no block for it.
+    S_0 f = 0 and K_1 = sigma_1 f = 0 are set to +0 here: the synthesis of
+    a zero row leaves -0.0 on radix-3 grids.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (gen.size,):
         raise ValueError(f"expected {gen.size} coefficients, got shape {coeffs.shape}")
     orders = ns.tolist()
     if fejer:
-        if np.iscomplexobj(coeffs) and not coeffs.imag.any():
-            coeffs = coeffs.real
         top = min(gen.size, max(orders, default=1))
         weights = np.zeros((ns.size, gen.size))
         col = ns[:, None]
@@ -344,6 +377,15 @@ def _multiplier_rows(
     return rows
 
 
+def _real_if_exact(coeffs: np.ndarray) -> np.ndarray:
+    """The real part of a spectrum whose imaginary part is exactly 0, else
+    the spectrum: its Fejer weights then take the float64 pass.  Each entry
+    decides once, on the whole spectrum, before any block is made."""
+    if np.iscomplexobj(coeffs) and not coeffs.imag.any():
+        return coeffs.real
+    return coeffs
+
+
 # Bytes of synthesized rows one block of kernel rows holds, counted as
 # complex rows (4096 cells: 21 rows of a 192-cell grid); on a grid of more
 # cells a block is a single row.  On the six-digit verify_mixed grids (192
@@ -352,7 +394,9 @@ def _multiplier_rows(
 # 111 to 35 and its job_s_p50 by 11% (4 alternating pairs of 15 s runs),
 # for 0.1 MiB more peak RSS (2-core Xeon, one BLAS thread).  At 128 KiB
 # run_suite on constant:3 depth 7 peaks at 1096 KiB, over the 750 KiB
-# bound of test_suite_peak_allocation_on_a_chunked_grid.
+# bound of test_suite_peak_allocation_on_a_chunked_grid.  The axis pass
+# also reads it: an array above it takes its later runs in place, through
+# a temporary of this size (see _axis_pass).
 _ROW_BLOCK_BYTES = 1 << 16
 
 
@@ -418,8 +462,6 @@ def _coarse_blocks(
     """
     if not ns.size:
         return
-    if fejer and np.iscomplexobj(coeffs) and not coeffs.imag.any():
-        coeffs = coeffs.real  # decided on the whole spectrum, not on a prefix
     for r, start, stop in _coarse_runs(ns - 1 if fejer else ns, gen):
         grid = gen if r == gen.depth else _prefix_grid(gen.m[:r])
         step = max(1, block_bytes // (16 * grid.size))
@@ -441,7 +483,7 @@ def fejer_mean_blocks(
     if coeffs.shape != (gen.size,):
         raise ValueError(f"expected {gen.size} coefficients, got shape {coeffs.shape}")
     ks = integer_args("n=", ks, 1, gen.size + 1)
-    return _coarse_blocks(coeffs, ks, gen, fejer=True, block_bytes=block_bytes)
+    return _coarse_blocks(_real_if_exact(coeffs), ks, gen, fejer=True, block_bytes=block_bytes)
 
 
 def dirichlet(n: int, gen: GeneratorSequence) -> GridFunction:
@@ -483,7 +525,8 @@ def fejer_mean_rows(
 ) -> np.ndarray:
     """sigma_k f for every k in ``ks``, one row each, from f's coefficients.
     A spectrum with imaginary part exactly 0 synthesizes as a real one."""
-    return _multiplier_rows(coeffs, integer_args("n=", ks, 1, gen.size + 1), gen, fejer=True)
+    ks = integer_args("n=", ks, 1, gen.size + 1)
+    return _multiplier_rows(_real_if_exact(np.asarray(coeffs)), ks, gen, fejer=True)
 
 
 def partial_sum_rows(
@@ -496,12 +539,12 @@ def partial_sum_rows(
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
     """S_n f = sum_{k < n} f_hat(k) psi_k, with S_0 f = 0.  At a scale n = M_r
-    it is the cylinder mean E_r f by Paley's lemma, taken with no transform."""
+    it is the cylinder mean E_r f by Paley's lemma, taken with no transform;
+    any other S_n f is made on the coarsest grid that holds it and tiled."""
     ns = integer_args("n=", [n], 0, f.gen.size + 1)
     if ns[0] in f.gen.scale:
         return conditional_expectation(f, f.gen.scale.index(ns[0]))
-    coeffs = forward_transform(f).coeffs
-    return GridFunction(f.gen, _multiplier_rows(coeffs, ns, f.gen, fejer=False)[0])
+    return _single_row(forward_transform(f).coeffs, ns, f.gen, fejer=False)
 
 
 def fejer_mean(f: GridFunction, n: int) -> GridFunction:
@@ -509,10 +552,21 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
 
     Coefficient j < n - 1 appears in S_k f for j < k <= n - 1, i.e. with
     total weight (n - 1 - j)/n; coefficients at or above n - 1 drop out.
+    The row is made on the coarsest grid that holds it, as in
+    ``fejer_mean_blocks``, and tiled onto the full grid.
     """
     ns = integer_args("n=", [n], 1, f.gen.size + 1)
-    coeffs = forward_transform(f).coeffs
-    return GridFunction(f.gen, _multiplier_rows(coeffs, ns, f.gen, fejer=True)[0])
+    return _single_row(_real_if_exact(forward_transform(f).coeffs), ns, f.gen, fejer=True)
+
+
+def _single_row(
+    coeffs: np.ndarray, ns: np.ndarray, gen: GeneratorSequence, *, fejer: bool
+) -> GridFunction:
+    """The core's one row of order ns[0], made on the coarsest prefix grid
+    that holds it (as in ``_coarse_blocks``) and tiled once onto the full
+    grid: a mean below M_{N-1} synthesizes at most half the cells."""
+    ((_, grid, rows),) = _coarse_blocks(coeffs, ns, gen, fejer=fejer, block_bytes=0)
+    return GridFunction(gen, rows[0] if grid is gen else np.tile(rows[0], gen.size // grid.size))
 
 
 def lebesgue_constants(ns: Sequence[int], gen: GeneratorSequence) -> np.ndarray:

@@ -143,6 +143,8 @@ CONTRACTS = [
     (lambda n: sigma_norm_profile(F, n), [4], "nmax=[4] is not an integer"),
     (lambda n: dirichlet(n, G), [3], "n=[3] is not an integer"),
     (lambda ns: integer_args("n=", ns, 0, G.size), [[3]], "n=[3] is not an integer"),
+    # The cache was asked first: lru_cache's TypeError, unhashable 'list'.
+    (lambda k: digit_values(G, k), [1], "digit position [1] is not an integer"),
     (lambda ns: integer_args("n=", ns, 0, G.size), 3, "n=3 is not a sequence of integers"),
     (lambda ns: integer_args("n=", ns, 0, G.size), np.ones((1, 2), dtype=int),
      "n=array([[1, 1]]) is not a sequence of integers"),
@@ -171,7 +173,8 @@ CONTRACTS = [
          "digit_tail_bound-bool", "counterexample-bool-rank", "select_alphas-bool",
          "variation_table-bool", "sigma_profile-integral-float", "dirichlet-integral-float",
          "integer_args-numpy-bool", "to_digits-list", "E_n-list", "rademacher-tuple",
-         "sigma_profile-list", "dirichlet-list", "integer_args-nested", "integer_args-scalar",
+         "sigma_profile-list", "dirichlet-list", "integer_args-nested", "digit_values-list",
+         "integer_args-scalar",
          "integer_args-2d", "counterexample-overflow"],
 )
 def test_bad_argument_is_refused_by_value(call, bad, fragment):

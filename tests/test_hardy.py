@@ -103,6 +103,35 @@ def test_maximal_dominates_last_level(gen, rng):
     assert np.all(maximal_function(f).values >= np.abs(f.values) - 1e-12)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_hardy_quasinorm_reduces_the_real_maximal_function(gen, rng, p):
+    # The same bits as the L_p quasi-norm of f* as a (complex) GridFunction.
+    f = random_function(gen, rng)
+    assert function_hardy_quasinorm(f, p) == lp_quasinorm(maximal_function(f), p)
+
+
+def test_hardy_quasinorm_peaks_near_one_grid():
+    # On the bench's large_grid (165 888 cells) f* is float64, half a complex
+    # grid, and the L_p reduction takes one more half for its magnitudes;
+    # the complex copy of f* made it 1.56 grids.
+    g = GeneratorSequence((2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 2))
+    f = random_function(g, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        function_hardy_quasinorm(f, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 16 * g.size
+
+
+def test_hardy_quasinorm_refuses_a_mean_that_overflows():
+    f = GridFunction(WALSH, np.full(WALSH.size, 1.5e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="cell values must be finite"):
+            function_hardy_quasinorm(f, 0.5)
+
+
 def test_maximal_matches_cylinder_average_form(gen, rng):
     # f* is the sup of |cylinder averages of f|
     f = random_function(gen, rng)

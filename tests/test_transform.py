@@ -39,6 +39,7 @@ from vilenkin.transform import (
     _axis_pass,
     _char_matrix,
     _digit_runs,
+    _run_matrix,
     dirichlet_rows,
     fejer_kernel_rows,
     fejer_mean_blocks,
@@ -321,6 +322,70 @@ def test_blocked_transform_matches_naive(g):
     fast = forward_transform(f).coeffs
     ref = naive_forward_transform(f).coeffs
     assert np.max(np.abs(fast - ref)) <= 1e-12
+
+
+def _fresh_run_chain(values, g, sign):
+    """The axis pass as a chain of fresh matmuls, one array per run."""
+    lead = values.shape[:-1]
+    batch = math.prod(lead)
+    arr, post = values, 1
+    for radices in _digit_runs(g.m):
+        w = _run_matrix(radices, sign, np.iscomplexobj(arr))
+        size = w.shape[0]
+        pre = g.size // (size * post)
+        if post == 1:
+            arr = arr.reshape(batch, pre, size) @ w.T
+        else:
+            arr = w @ arr.reshape(batch, pre, size, post)
+        post *= size
+    return arr.reshape(lead + (g.size,))
+
+
+# (grid, rows, dtype, runs applied in place).  The matrices of a run are
+# counted as complex or float64 rows against the 64 KiB chunk.
+IN_PLACE_CASES = [
+    # 24 matrices of 9 KiB, 7 a chunk: a last chunk of 3.
+    (GeneratorSequence.cycle([2, 3, 4], 9), (), np.complex128, 1),
+    # Two matrices of 512 KiB each, one a chunk; the last run is one matrix.
+    (GeneratorSequence.walsh(16), (), np.complex128, 2),
+    (GeneratorSequence.walsh(16), (), np.float64, 2),
+    # float64 rows: a real run, a promotion at the radix-3 run (fresh), then
+    # complex runs in place.
+    (GeneratorSequence((2,) * 5 + (3,) * 3 + (2,) * 7), (), np.float64, 1),
+    # A batch: the last run holds one matrix per row, so it runs in place.
+    (GeneratorSequence.cycle([2, 3, 4], 9), (3,), np.complex128, 2),
+    (GeneratorSequence.cycle([2, 3, 4], 9), (2, 2), np.float64, 2),
+    # Below the chunk: every run is fresh.
+    (GeneratorSequence.cycle([2, 3, 4], 6), (), np.complex128, 0),
+    (GeneratorSequence(()), (5,), np.complex128, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "g, lead, dtype, in_place", IN_PLACE_CASES,
+    ids=["partial-chunk", "matrix-over-chunk", "matrix-over-chunk-real", "promotion",
+         "batch", "batch-real", "small", "depth0"],
+)
+def test_in_place_runs_are_byte_equal_to_a_chain_of_fresh_runs(g, lead, dtype, in_place, monkeypatch):
+    rng = np.random.default_rng(g.size)
+    values = rng.normal(size=lead + (g.size,)).astype(dtype)
+    if dtype == np.complex128:
+        values += 1j * rng.normal(size=values.shape)
+    before = values.tobytes()
+    calls = []
+    run_in_place = transform._matmul_in_place
+    monkeypatch.setattr(
+        transform, "_matmul_in_place", lambda w, mats: calls.append(1) or run_in_place(w, mats)
+    )
+    for sign in (-1, +1):
+        got = _axis_pass(values, g, sign)
+        want = _fresh_run_chain(values, g, sign)
+        assert got.dtype == want.dtype and got.shape == values.shape
+        assert got.tobytes() == want.tobytes()
+        assert values.tobytes() == before
+        # At depth 0 there is no run, and the result is the input itself.
+        assert np.shares_memory(got, values) == (g.depth == 0)
+    assert len(calls) == 2 * in_place
 
 
 @pytest.mark.parametrize(
@@ -673,6 +738,77 @@ def test_fejer_mean_of_constant(gen):
 def test_fejer_mean_first_is_zero(gen, rng):
     f = random_function(gen, rng)
     assert np.allclose(fejer_mean(f, 1).values, 0.0)
+
+
+# The bench's large_grid: M_N = 165 888 cells, M_{N-1} = 82 944.
+LARGE_GRID = GeneratorSequence((2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 2))
+
+
+def _fft_multiplier(values, n, m, *, fejer):
+    """sigma_n f (with ``fejer``) or S_n f by np.fft over the digit axes."""
+    shape = tuple(reversed(m))
+    coeffs = np.fft.fftn(values.reshape(shape)).reshape(-1) / values.size
+    j = np.arange(values.size)
+    weights = np.clip((n - 1 - j) / n, 0.0, None) if fejer else j < n
+    return np.fft.ifftn((weights * coeffs).reshape(shape)).reshape(-1) * values.size
+
+
+def test_single_means_off_the_scales_match_an_fft_oracle():
+    # None of these orders is a scale: S_n f is a synthesis, on the coarse
+    # grid m[:r] below n <= M_{N-1} and on the full grid above it.
+    g = LARGE_GRID
+    f = random_function(g, np.random.default_rng(6))
+    top = np.max(np.abs(f.values))
+    for n in (0, 5, 1000, g.scale[-2] - 1, g.scale[-2] + 1, g.size - 1):
+        want = _fft_multiplier(f.values, n, g.m, fejer=False)
+        assert np.max(np.abs(partial_sum(f, n).values - want)) <= 1e-12 * top, n
+    for n in (2, 1000, g.scale[-2] + 1, g.scale[-2] + 2, g.size):
+        want = _fft_multiplier(f.values, n, g.m, fejer=True)
+        assert np.max(np.abs(fejer_mean(f, n).values - want)) <= 1e-12 * top, n
+
+
+@pytest.mark.parametrize(
+    "g", [GeneratorSequence.cycle([2, 3, 4], 9), GeneratorSequence.constant(3, 7)],
+    ids=["cycle234x9", "3x7"],
+)
+def test_coarse_single_means_are_byte_equal_to_the_full_grid_rows(g):
+    f = random_function(g, np.random.default_rng(4))
+    coeffs = forward_transform(f).coeffs
+    ks = [1, 2, 100, g.scale[-2], g.scale[-2] + 1, g.scale[-2] + 2, g.size]
+    for k, row in zip(ks, fejer_mean_rows(coeffs, ks, g)):
+        assert fejer_mean(f, k).values.tobytes() == row.tobytes(), k
+    ns = [0, 5, 100, g.scale[-2] - 1, g.scale[-2] + 1]  # no scale
+    for n, row in zip(ns, partial_sum_rows(coeffs, ns, g)):
+        assert partial_sum(f, n).values.tobytes() == row.tobytes(), n
+
+
+def test_coarse_fejer_means_of_a_real_walsh_function_move_in_the_last_bits():
+    # A real Walsh row is a float64 matmul whose last bits depend on the
+    # grid: on Walsh(12) half the coarse means move, by up to 7.3e-16
+    # relative over three random functions.
+    g = GeneratorSequence.walsh(12)
+    f = GridFunction(g, np.random.default_rng(3).normal(size=g.size))
+    ks = [2, 150, 1000, g.scale[-2] + 1, g.size]
+    rows = fejer_mean_rows(forward_transform(f).coeffs, ks, g)
+    for k, row in zip(ks, rows):
+        assert np.max(np.abs(fejer_mean(f, k).values - row)) <= 1e-15 * np.max(np.abs(row))
+
+
+def test_a_coarse_fejer_mean_peaks_below_two_grids():
+    # sigma_n f with n - 1 < M_{N-1} lies on the 82 944 cells of m[:N-1]:
+    # its synthesis holds half-grid arrays, and the one full grid is the
+    # tiled result (3.0 grids when it was synthesized on the full grid).
+    g = LARGE_GRID
+    f = random_function(g, np.random.default_rng(5))
+    n = g.scale[-2]
+    fejer_mean(f, n)  # the spectrum is kept on f, and the prefix grid built
+    tracemalloc.start()
+    try:
+        fejer_mean(f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 16 * g.size
 
 
 @pytest.mark.parametrize(
