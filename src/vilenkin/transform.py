@@ -41,10 +41,6 @@ off the scales, is synthesized on that grid too and tiled once onto the
 full grid.  Kernels are made on the full grid.  The CLI's cell budgets
 still count rows * M_N, so for profiles and Lebesgue constants they are an
 upper bound on the cells synthesized.
-
-No transform builds a grid that nothing reads: the axis pass applies its
-later runs in place where it can (see _axis_pass), and forward_transform
-scales its own result.
 """
 
 from __future__ import annotations
@@ -190,12 +186,14 @@ def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndar
     A later run of an array larger than _ROW_BLOCK_BYTES that holds several
     (G, post) matrices, and that needs no promotion, is applied in place:
     chunks of whole matrices go through one temporary, each matrix through
-    the same BLAS call as ``w @ arr``, so the bits do not move.  On a grid
-    beyond L2 a fresh array per run costs more than its arithmetic: freed
-    grids go back to the kernel, and the first touch of each new page is a
-    page fault.  The last matrix of a pass is never split by columns: that
-    moved bits.  At depth 0 there is no run, and the result is a view of
-    ``values``.
+    the same BLAS call as ``w @ arr``, so the bits do not move.  A fresh
+    array that large pays a page fault at the first touch of each page,
+    since freed ones go back to the kernel.  The copy back from the
+    temporary costs about as much on a 2.5 MiB grid, but Fejer profiles in
+    512 KiB blocks on Walsh(9) ran about 3% faster in place (2-core Xeon,
+    one BLAS thread).  The last matrix of a pass is never split by
+    columns: that moved bits.  At depth 0 there is no run, and the result
+    is a view of ``values``.
     """
     lead = values.shape[:-1]
     batch = math.prod(lead)
@@ -208,9 +206,10 @@ def _axis_pass(values: np.ndarray, gen: GeneratorSequence, sign: int) -> np.ndar
         if post == 1:
             arr = arr.reshape(batch, pre, g) @ w.T
         elif arr.nbytes > _ROW_BLOCK_BYTES and batch * pre > 1 and w.dtype == arr.dtype:
-            # arr is a matmul result with one loop axis or C-ordered ones,
-            # so it is C-contiguous and the reshape is a view.
-            _matmul_in_place(w, arr.reshape(batch * pre, g, post))
+            # arr is this pass's own result, never ``values``.  Kept as the
+            # reshape, so the runs land in arr even where it had to copy.
+            arr = arr.reshape(batch * pre, g, post)
+            _matmul_in_place(w, arr)
         else:
             arr = w @ arr.reshape(batch, pre, g, post)
         post *= g

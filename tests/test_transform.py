@@ -355,6 +355,8 @@ IN_PLACE_CASES = [
     # A batch: the last run holds one matrix per row, so it runs in place.
     (GeneratorSequence.cycle([2, 3, 4], 9), (3,), np.complex128, 2),
     (GeneratorSequence.cycle([2, 3, 4], 9), (2, 2), np.float64, 2),
+    # Rows that are columns of an (M_N, 3) array: no input order is assumed.
+    (GeneratorSequence.cycle([2, 3, 4], 9), (3,), "transposed", 2),
     # Below the chunk: every run is fresh.
     (GeneratorSequence.cycle([2, 3, 4], 6), (), np.complex128, 0),
     (GeneratorSequence(()), (5,), np.complex128, 0),
@@ -364,13 +366,17 @@ IN_PLACE_CASES = [
 @pytest.mark.parametrize(
     "g, lead, dtype, in_place", IN_PLACE_CASES,
     ids=["partial-chunk", "matrix-over-chunk", "matrix-over-chunk-real", "promotion",
-         "batch", "batch-real", "small", "depth0"],
+         "batch", "batch-real", "batch-transposed", "small", "depth0"],
 )
 def test_in_place_runs_are_byte_equal_to_a_chain_of_fresh_runs(g, lead, dtype, in_place, monkeypatch):
     rng = np.random.default_rng(g.size)
-    values = rng.normal(size=lead + (g.size,)).astype(dtype)
-    if dtype == np.complex128:
-        values += 1j * rng.normal(size=values.shape)
+    if dtype == "transposed":
+        values = (rng.normal(size=(g.size,) + lead) + 1j * rng.normal(size=(g.size,) + lead)).T
+        assert not values.flags.c_contiguous
+    else:
+        values = rng.normal(size=lead + (g.size,)).astype(dtype)
+        if dtype == np.complex128:
+            values += 1j * rng.normal(size=values.shape)
     before = values.tobytes()
     calls = []
     run_in_place = transform._matmul_in_place
@@ -386,6 +392,29 @@ def test_in_place_runs_are_byte_equal_to_a_chain_of_fresh_runs(g, lead, dtype, i
         # At depth 0 there is no run, and the result is the input itself.
         assert np.shares_memory(got, values) == (g.depth == 0)
     assert len(calls) == 2 * in_place
+
+
+@pytest.mark.parametrize(
+    "g",
+    [GeneratorSequence.cycle([2, 3, 4], 6), GeneratorSequence.walsh(10), GeneratorSequence(())],
+    ids=["cycle234x6", "walsh10", "depth0"],
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_forward_transform_scales_its_own_result(g, dtype):
+    # The division by M_N is made in place on the pass result: the bytes
+    # are those of a fresh division, and f's values are neither written
+    # nor shared (at depth 0 there is no run, and M_N = 1 needs none).
+    rng = np.random.default_rng(g.size)
+    values = rng.normal(size=g.size).astype(dtype)
+    if dtype == np.complex128:
+        values += 1j * rng.normal(size=g.size)
+    f = GridFunction(g, values)
+    before = f.values.tobytes()
+    coeffs = forward_transform(f).coeffs
+    want = np.asarray(_axis_pass(f.values, g, -1) / g.size, dtype=np.complex128)
+    assert coeffs.tobytes() == want.tobytes()
+    assert f.values.tobytes() == before
+    assert np.shares_memory(coeffs, f.values) == (g.depth == 0 and np.iscomplexobj(f.values))
 
 
 @pytest.mark.parametrize(
