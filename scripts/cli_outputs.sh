@@ -35,6 +35,9 @@ cli kernels --generator 2,2,2,2,3,5 --nmax 16 --out "$out/kernels-radix5"
 cli kernels --generator cycle:2,3,4 --depth 10 --nmax 3 --out "$out/kernels-inplace"
 # Dirichlet rows on their coarse grids, at exactly the 2^26-cell budget.
 cli lebesgue --generator constant:2 --depth 20 --out "$out/lebesgue-walsh20"
+# Dirichlet rows on the coarse mixed-radix grids of 144, 576 and 1152
+# cells, several blocks on each.
+cli lebesgue --generator cycle:2,3,4 --depth 7 --nmax 1000 --out "$out/lebesgue-cycle"
 cli counterexample --generator constant:2 --depth 12 \
   --phi const:1 --alphas 4,5,6,7,8,9,10,11 --out "$out/counterexample"
 cli counterexample --generator cycle:2,3,4 --depth 8 \

@@ -32,15 +32,13 @@ means, partial sums and profiles of one f share a single analysis pass.
 A function made by synthesize or inverse_transform keeps, from birth, the
 exact spectrum it was made from, with exact zeros past the support.
 
-A row whose spectrum lies below M_r is constant on depth-r cylinders, so
-the Fejer-mean rows of a norm profile and the Dirichlet rows of the Lebesgue
-constants are synthesized and reduced on the coarsest prefix grid m[:r]
-that holds each row, of at least 128 cells (or M_N): L_n for n <= 64 on
-Walsh(20) reads 128 cells, not 2^20.  A single mean sigma_n f, and S_n f
-off the scales, is synthesized on that grid too and tiled once onto the
-full grid.  Kernels are made on the full grid.  The CLI's cell budgets
-still count rows * M_N, so for profiles and Lebesgue constants they are an
-upper bound on the cells synthesized.
+A row whose spectrum lies below M_r is constant on depth-r cylinders.  One
+private generator, _row_blocks, picks the grid and the block of every
+S_n f, sigma_n f, D_n and K_n row but those of the full-grid row forms
+fejer_mean_rows and partial_sum_rows, by the rule its docstring states:
+means, partial sums and Lebesgue constants take the coarsest prefix grid
+that holds each row, kernels the full grid.  The CLI's cell budgets still
+count rows * M_N, an upper bound on the cells synthesized.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -87,16 +86,21 @@ class SpectralVector:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.gen.size,):
-            raise ValueError(
-                f"expected {self.gen.size} coefficients, got shape {c.shape}"
-            )
-        if not np.isfinite(c).all():
-            j = int(np.flatnonzero(~np.isfinite(c))[0])
-            raise ValueError(f"coefficients must be finite, got coeffs[{j}]={c[j]}")
+        c = _spectrum_arg(np.asarray(self.coeffs, dtype=np.complex128), self.gen)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+
+def _spectrum_arg(coeffs: object, gen: GeneratorSequence) -> np.ndarray:
+    """``coeffs`` as an array of M_N finite coefficients, else refused by its
+    shape or by the index of its first non-finite entry."""
+    c = np.asarray(coeffs)
+    if c.shape != (gen.size,):
+        raise ValueError(f"expected {gen.size} coefficients, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        j = int(np.flatnonzero(~np.isfinite(c))[0])
+        raise ValueError(f"coefficients must be finite, got coeffs[{j}]={c[j]}")
+    return c
 
 
 # Largest cell count of a run of digits fused into one matrix.  A run of G
@@ -346,14 +350,12 @@ def _multiplier_rows(
     w_n is the S_n truncation, or with ``fejer`` the Fejer weights
     max(n - 1 - j, 0)/n.  Truncation copies the coefficients below n into
     zeros: multiplying by 0 would leave -0.0 where a part is negative.  The
-    public entries pass a spectrum whose imaginary part is exactly 0 as its
-    real part (``_real_if_exact``), so the core scans no block for it.
+    callers pass checked orders and one finite coefficient per cell of
+    ``gen``.  Fejer rows get a spectrum whose imaginary part is exactly 0 as
+    its real part (``_real_if_exact``), so the core scans no block for it.
     S_0 f = 0 and K_1 = sigma_1 f = 0 are set to +0 here: the synthesis of
     a zero row leaves -0.0 on radix-3 grids.
     """
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (gen.size,):
-        raise ValueError(f"expected {gen.size} coefficients, got shape {coeffs.shape}")
     orders = ns.tolist()
     if fejer:
         top = min(gen.size, max(orders, default=1))
@@ -378,7 +380,7 @@ def _multiplier_rows(
 
 def _real_if_exact(coeffs: np.ndarray) -> np.ndarray:
     """The real part of a spectrum whose imaginary part is exactly 0, else
-    the spectrum: its Fejer weights then take the float64 pass.  Each entry
+    the spectrum: its Fejer weights then take the float64 pass.  Each call
     decides once, on the whole spectrum, before any block is made."""
     if np.iscomplexobj(coeffs) and not coeffs.imag.any():
         return coeffs.real
@@ -399,17 +401,6 @@ def _real_if_exact(coeffs: np.ndarray) -> np.ndarray:
 _ROW_BLOCK_BYTES = 1 << 16
 
 
-def _kernel_blocks(
-    ns: np.ndarray, gen: GeneratorSequence, *, fejer: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The kernels of the orders ``ns``: the core on the all-ones spectrum."""
-    ones = np.ones(gen.size)
-    step = max(1, _ROW_BLOCK_BYTES // (16 * gen.size))
-    for start in range(0, ns.size, step):
-        block = ns[start : start + step]
-        yield block, _multiplier_rows(ones, block, gen, fejer=fejer)
-
-
 # Fewest cells of a coarse grid (or M_N, if fewer).  numpy sums a row
 # pairwise in blocks of 128 cells, so on a grid of 2^N cells a coarse row of
 # at least 128 cells sums to the bits of its tiling of the full grid.  With
@@ -423,45 +414,47 @@ def _prefix_grid(m: tuple[int, ...]) -> GeneratorSequence:
     return GeneratorSequence(m)
 
 
-def _coarse_runs(spans: np.ndarray, gen: GeneratorSequence) -> list[tuple[int, int, int]]:
-    """(r, start, stop) for each run of consecutive rows with one coarse rank
-    r, the least r with M_r >= max(span, min(_COARSE_CELLS, M_N)) for a
-    row whose spectrum lies below its span."""
-    floor = min(_COARSE_CELLS, gen.size)
-    if bisect.bisect_left(gen.scale, floor) == gen.depth:
-        # M_{N-1} < the floor, so every row is on the full grid: skipping the
-        # split saves about 10 us a call, 3% of the Lebesgue constants of a
-        # 192-cell grid.
-        return [(gen.depth, 0, spans.size)]
-    ranks = np.searchsorted(gen.scale, np.maximum(spans, floor))
-    cuts = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), spans.size]
-    return list(zip(ranks[cuts[:-1]].tolist(), cuts, cuts[1:]))
-
-
-def _coarse_blocks(
+def _row_blocks(
     coeffs: np.ndarray,
     ns: np.ndarray,
     gen: GeneratorSequence,
     *,
     fejer: bool,
-    block_bytes: int,
+    coarse: bool,
+    block_bytes: int = _ROW_BLOCK_BYTES,
 ) -> Iterator[tuple[np.ndarray, GeneratorSequence, np.ndarray]]:
-    """The core's rows of the orders ``ns``, each on the coarsest prefix grid
-    that holds it, as (orders, grid, rows) blocks in the order of ``ns``.
+    """Every S_n f, sigma_n f, D_n and K_n row but those of the full-grid
+    ``fejer_mean_rows`` and ``partial_sum_rows``, as (orders, grid, rows)
+    blocks in the order of ``ns``; the caller checks every argument first.
 
-    A row whose spectrum lies below s (s = n for D_n, n - 1 for sigma_n)
-    is constant on depth-r cylinders once M_r >= s
-    (Paley's lemma), so its values on the full grid tile its values on
-    GeneratorSequence(m[:r]).  Each row takes the least r with
-    M_r >= max(s, min(_COARSE_CELLS, M_N)): its grid depends on its order
-    alone, so a block's neighbours never move its bits.  A block holds rows
-    of one grid, at most ``block_bytes`` of them counted as complex (or a
-    single row).  The orders are checked by the caller, against the full
-    grid: sigma_{M_r + 1} lies on the M_r-cell grid.
+    A row whose spectrum lies below s (s = n for S_n f and D_n, n - 1 for
+    sigma_n f and K_n) is constant on depth-r cylinders once M_r >= s
+    (Paley's lemma), so it tiles its values on the prefix grid m[:r], the
+    first M_r cells.  Each row takes the least r with M_r >= max(s, floor),
+    where the floor is min(_COARSE_CELLS, M_N) with ``coarse`` (L_n for
+    n <= 64 on Walsh(20) reads 128 cells, not 2^20) and M_N for kernels.
+    A row's grid depends on its order alone, so a block's neighbours never
+    move its bits.  A block holds rows of one grid, at most ``block_bytes``
+    of them counted as complex (or a single row).  Fejer weights take the
+    real part of a spectrum whose imaginary part is exactly 0; S_n f keeps
+    the spectrum, for the bits of ``partial_sum_rows``.
     """
-    if not ns.size:
-        return
-    for r, start, stop in _coarse_runs(ns - 1 if fejer else ns, gen):
+    if fejer:
+        coeffs = _real_if_exact(coeffs)
+    floor = min(_COARSE_CELLS, gen.size) if coarse else gen.size
+    if bisect.bisect_left(gen.scale, floor) == gen.depth:
+        # M_{N-1} < the floor, so every row is on the full grid: skipping the
+        # split saves about 10 us a call, 3% of the Lebesgue constants of a
+        # 192-cell grid.
+        runs = [(gen.depth, 0, ns.size)]
+    else:
+        ranks = np.searchsorted(gen.scale, np.maximum(ns - 1 if fejer else ns, floor))
+        starts = np.flatnonzero(np.diff(ranks, prepend=-1)).tolist()
+        runs = list(zip(ranks[starts].tolist(), starts, starts[1:] + [ns.size]))
+        # Held through the blocks, 8 bytes an order, the ranks raised the
+        # peak of a Walsh(12) Hardy profile past its bound.
+        del ranks
+    for r, start, stop in runs:
         grid = gen if r == gen.depth else _prefix_grid(gen.m[:r])
         step = max(1, block_bytes // (16 * grid.size))
         for i in range(start, stop, step):
@@ -469,26 +462,34 @@ def _coarse_blocks(
             yield block, grid, _multiplier_rows(coeffs[: grid.size], block, grid, fejer=fejer)
 
 
+def _single_row(
+    coeffs: np.ndarray, ns: np.ndarray, gen: GeneratorSequence, *, fejer: bool, coarse: bool
+) -> GridFunction:
+    """The one row of order ns[0] from ``_row_blocks``, tiled once onto the
+    full grid: a mean below M_{N-1} synthesizes at most half the cells."""
+    ((_, grid, rows),) = _row_blocks(coeffs, ns, gen, fejer=fejer, coarse=coarse, block_bytes=0)
+    return GridFunction(gen, rows[0] if grid is gen else np.tile(rows[0], gen.size // grid.size))
+
+
 def fejer_mean_blocks(
     coeffs: np.ndarray, ks: Sequence[int], gen: GeneratorSequence, block_bytes: int
 ) -> Iterator[tuple[np.ndarray, GeneratorSequence, np.ndarray]]:
-    """sigma_k f for every k in ``ks`` (1 <= k <= M_N), from f's coefficients,
-    as (orders, grid, rows) blocks.  Each row lies on the coarsest prefix
-    grid m[:r] that holds it, the least r with M_r >= max(k - 1, min(128,
-    M_N)): its M_r cells are the first M_r cells of the full grid, which
-    the row tiles.  A block holds at most ``block_bytes`` of rows (or one
-    row), all on one grid."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (gen.size,):
-        raise ValueError(f"expected {gen.size} coefficients, got shape {coeffs.shape}")
+    """sigma_k f for every k in ``ks`` (1 <= k <= M_N), from f's M_N finite
+    coefficients, as (orders, grid, rows) blocks.  Each row lies on the
+    coarsest prefix grid that holds it, whose cells are the first cells of
+    the full grid, which the row tiles.  A block holds at most
+    ``block_bytes`` of rows (or one row), all on one grid.  Every argument
+    is checked before the first block."""
+    coeffs = _spectrum_arg(coeffs, gen)
     ks = integer_args("n=", ks, 1, gen.size + 1)
-    return _coarse_blocks(_real_if_exact(coeffs), ks, gen, fejer=True, block_bytes=block_bytes)
+    block_bytes = integer_arg("block_bytes=", block_bytes, 0, math.inf)
+    return _row_blocks(coeffs, ks, gen, fejer=True, coarse=True, block_bytes=block_bytes)
 
 
 def dirichlet(n: int, gen: GeneratorSequence) -> GridFunction:
     """D_n = sum_{k < n} psi_k, materialized on the depth-N grid."""
     ns = integer_args("n=", [n], 1, gen.size + 1)
-    return GridFunction(gen, _multiplier_rows(np.ones(gen.size), ns, gen, fejer=False)[0])
+    return _single_row(np.ones(gen.size), ns, gen, fejer=False, coarse=False)
 
 
 def dirichlet_rows(
@@ -499,7 +500,9 @@ def dirichlet_rows(
     A block holds at most _ROW_BLOCK_BYTES of rows (or a single row), and
     row i of a block is bit-identical to ``dirichlet(orders[i], gen).values``.
     """
-    return _kernel_blocks(integer_args("n=", ns, 1, gen.size + 1), gen, fejer=False)
+    ns = integer_args("n=", ns, 1, gen.size + 1)
+    blocks = _row_blocks(np.ones(gen.size), ns, gen, fejer=False, coarse=False)
+    return map(itemgetter(0, 2), blocks)
 
 
 def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
@@ -509,31 +512,35 @@ def fejer_kernel(n: int, gen: GeneratorSequence) -> GridFunction:
     n * K_n = sum_{j <= n-2} (n - 1 - j) * psi_j, used here for speed.
     """
     ns = integer_args("n=", [n], 1, gen.size + 1)
-    return GridFunction(gen, _multiplier_rows(np.ones(gen.size), ns, gen, fejer=True)[0])
+    return _single_row(np.ones(gen.size), ns, gen, fejer=True, coarse=False)
 
 
 def fejer_kernel_rows(
     ns: Sequence[int], gen: GeneratorSequence
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """K_n for every n in ``ns``, in blocks like ``dirichlet_rows``."""
-    return _kernel_blocks(integer_args("n=", ns, 1, gen.size + 1), gen, fejer=True)
+    ns = integer_args("n=", ns, 1, gen.size + 1)
+    blocks = _row_blocks(np.ones(gen.size), ns, gen, fejer=True, coarse=False)
+    return map(itemgetter(0, 2), blocks)
 
 
 def fejer_mean_rows(
     coeffs: np.ndarray, ks: np.ndarray, gen: GeneratorSequence
 ) -> np.ndarray:
-    """sigma_k f for every k in ``ks``, one row each, from f's coefficients.
-    A spectrum with imaginary part exactly 0 synthesizes as a real one."""
+    """sigma_k f for every k in ``ks``, one full-grid row each, from f's M_N
+    finite coefficients.  A spectrum with imaginary part exactly 0
+    synthesizes as a real one."""
     ks = integer_args("n=", ks, 1, gen.size + 1)
-    return _multiplier_rows(_real_if_exact(np.asarray(coeffs)), ks, gen, fejer=True)
+    return _multiplier_rows(_real_if_exact(_spectrum_arg(coeffs, gen)), ks, gen, fejer=True)
 
 
 def partial_sum_rows(
     coeffs: np.ndarray, ns: Sequence[int], gen: GeneratorSequence
 ) -> np.ndarray:
-    """S_n f for every n in ``ns`` (0 <= n <= M_N), one row each, from f's
-    coefficients."""
-    return _multiplier_rows(coeffs, integer_args("n=", ns, 0, gen.size + 1), gen, fejer=False)
+    """S_n f for every n in ``ns`` (0 <= n <= M_N), one full-grid row each,
+    from f's M_N finite coefficients."""
+    ns = integer_args("n=", ns, 0, gen.size + 1)
+    return _multiplier_rows(_spectrum_arg(coeffs, gen), ns, gen, fejer=False)
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -543,7 +550,7 @@ def partial_sum(f: GridFunction, n: int) -> GridFunction:
     ns = integer_args("n=", [n], 0, f.gen.size + 1)
     if ns[0] in f.gen.scale:
         return conditional_expectation(f, f.gen.scale.index(ns[0]))
-    return _single_row(forward_transform(f).coeffs, ns, f.gen, fejer=False)
+    return _single_row(forward_transform(f).coeffs, ns, f.gen, fejer=False, coarse=True)
 
 
 def fejer_mean(f: GridFunction, n: int) -> GridFunction:
@@ -551,27 +558,16 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
 
     Coefficient j < n - 1 appears in S_k f for j < k <= n - 1, i.e. with
     total weight (n - 1 - j)/n; coefficients at or above n - 1 drop out.
-    The row is made on the coarsest grid that holds it, as in
-    ``fejer_mean_blocks``, and tiled onto the full grid.
+    The row is made on the coarsest grid that holds it and tiled onto the
+    full grid.
     """
     ns = integer_args("n=", [n], 1, f.gen.size + 1)
-    return _single_row(_real_if_exact(forward_transform(f).coeffs), ns, f.gen, fejer=True)
-
-
-def _single_row(
-    coeffs: np.ndarray, ns: np.ndarray, gen: GeneratorSequence, *, fejer: bool
-) -> GridFunction:
-    """The core's one row of order ns[0], made on the coarsest prefix grid
-    that holds it (as in ``_coarse_blocks``) and tiled once onto the full
-    grid: a mean below M_{N-1} synthesizes at most half the cells."""
-    ((_, grid, rows),) = _coarse_blocks(coeffs, ns, gen, fejer=fejer, block_bytes=0)
-    return GridFunction(gen, rows[0] if grid is gen else np.tile(rows[0], gen.size // grid.size))
+    return _single_row(forward_transform(f).coeffs, ns, f.gen, fejer=True, coarse=True)
 
 
 def lebesgue_constants(ns: Sequence[int], gen: GeneratorSequence) -> np.ndarray:
     """L_n = ||D_n||_1 for every n in ``ns``, one L_1 reduction per block of
-    Dirichlet rows, each row on the coarsest grid that holds it: the least
-    r with M_r >= max(n, min(128, M_N)), as in ``fejer_mean_blocks``.
+    Dirichlet rows, each row on the coarsest grid that holds it.
 
     L_n is bit-identical to lp_quasinorm(D_n, 1) where that grid is the full
     grid (n > M_{N-1}, or M_{N-1} < 128 as on 192 or 240 cells), and on
@@ -580,9 +576,7 @@ def lebesgue_constants(ns: Sequence[int], gen: GeneratorSequence) -> np.ndarray:
     """
     ns = integer_args("n=", ns, 1, gen.size + 1)
     # A zero-stride view: each row copies only its first n ones.
-    blocks = _coarse_blocks(
-        np.broadcast_to(1.0, gen.size), ns, gen, fejer=False, block_bytes=_ROW_BLOCK_BYTES
-    )
+    blocks = _row_blocks(np.broadcast_to(1.0, gen.size), ns, gen, fejer=False, coarse=True)
     norms = [lp_quasinorm_rows(rows, 1.0) for _, _, rows in blocks]
     return np.concatenate(norms) if norms else np.empty(0)
 

@@ -16,11 +16,20 @@ from vilenkin import (
     counterexample_martingale,
     cylinder_indices,
     dirichlet,
+    dirichlet_rows,
+    fejer_kernel,
+    fejer_kernel_rows,
+    fejer_mean,
+    fejer_mean_blocks,
+    fejer_mean_rows,
     from_digits,
     group_add,
     group_sub,
     is_p_atom,
     lebesgue_constant,
+    lebesgue_constants,
+    partial_sum,
+    partial_sum_rows,
     rademacher,
     select_alphas,
     sigma_norm_profile,
@@ -55,6 +64,15 @@ def spectrum_with(bad):
 
 def synthesize_with(bad):
     return synthesize(G, [0.0, 0.0, bad])
+
+
+def coeffs_with(bad):
+    coeffs = np.zeros(G.size, dtype=type(bad))
+    coeffs[3] = bad
+    return coeffs
+
+
+SPECTRUM = np.zeros(G.size)
 
 
 def suite_at(tol):
@@ -151,6 +169,31 @@ CONTRACTS = [
     # The grid was built first and refused, with no rank or weight named.
     (lambda c: counterexample_martingale(lambda n: c, [1, 2], G), 1e308,
      f"rank 1: lambda_1={1e308 / math.log(2)} overflows the cell value at 0"),
+    # Order entries whose rows one generator makes: each is refused before
+    # the first block is asked for (the row forms are not iterated here).
+    (lambda n: dirichlet_rows([1, n], G), True, "n=True is a bool, not an integer"),
+    (lambda n: fejer_kernel_rows([1, n], G), 9, "n=9 out of range [1, 9)"),
+    (lambda n: fejer_kernel(n, G), True, "n=True is a bool, not an integer"),
+    (lambda n: fejer_mean_blocks(SPECTRUM, [1, n], G, 1 << 16), 0, "n=0 out of range [1, 9)"),
+    (lambda n: lebesgue_constants([1, n], G), True, "n=True is a bool, not an integer"),
+    (lambda n: fejer_mean(F, n), 9, "n=9 out of range [1, 9)"),
+    (lambda n: partial_sum(F, n), True, "n=True is a bool, not an integer"),
+    (lambda n: fejer_mean_rows(SPECTRUM, [1, n], G), -1, "n=-1 out of range [1, 9)"),
+    (lambda n: partial_sum_rows(SPECTRUM, [0, n], G), 9, "n=9 out of range [0, 9)"),
+    # Non-finite coefficients gave rows of NaN, with a RuntimeWarning for inf.
+    (lambda c: fejer_mean_rows(coeffs_with(c), [2], G), math.nan,
+     "coefficients must be finite, got coeffs[3]=nan"),
+    (lambda c: partial_sum_rows(coeffs_with(c), [4], G), complex(0, math.inf),
+     "coefficients must be finite, got coeffs[3]=infj"),
+    (lambda c: fejer_mean_blocks(coeffs_with(c), [2], G, 1 << 16), -math.inf,
+     "coefficients must be finite, got coeffs[3]=-inf"),
+    # A bare TypeError at the first block; True was read as 1.
+    (lambda b: fejer_mean_blocks(SPECTRUM, [2], G, b), 1e6,
+     "block_bytes=1000000.0 is not an integer"),
+    (lambda b: fejer_mean_blocks(SPECTRUM, [2], G, b), None, "block_bytes=None is not an integer"),
+    (lambda b: fejer_mean_blocks(SPECTRUM, [2], G, b), "x", "block_bytes='x' is not an integer"),
+    (lambda b: fejer_mean_blocks(SPECTRUM, [2], G, b), True,
+     "block_bytes=True is a bool, not an integer"),
 ]
 
 
@@ -175,7 +218,13 @@ CONTRACTS = [
          "integer_args-numpy-bool", "to_digits-list", "E_n-list", "rademacher-tuple",
          "sigma_profile-list", "dirichlet-list", "integer_args-nested", "digit_values-list",
          "integer_args-scalar",
-         "integer_args-2d", "counterexample-overflow"],
+         "integer_args-2d", "counterexample-overflow", "dirichlet_rows-bool",
+         "fejer_kernel_rows-too-large", "fejer_kernel-bool", "fejer_mean_blocks-zero",
+         "lebesgue_constants-bool", "fejer_mean-too-large", "partial_sum-bool",
+         "fejer_mean_rows-negative", "partial_sum_rows-too-large", "fejer_mean_rows-nan",
+         "partial_sum_rows-inf-imag", "fejer_mean_blocks-inf", "fejer_mean_blocks-float-bytes",
+         "fejer_mean_blocks-none-bytes", "fejer_mean_blocks-string-bytes",
+         "fejer_mean_blocks-bool-bytes"],
 )
 def test_bad_argument_is_refused_by_value(call, bad, fragment):
     with warnings.catch_warnings():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin import (
     GeneratorSequence,
@@ -521,6 +523,71 @@ def test_fejer_mean_blocks_keep_order_and_validate_eagerly():
     with pytest.raises(ValueError, match=r"expected 512 coefficients, got shape \(128,\)"):
         fejer_mean_blocks(coeffs[:128], [1], g, 1 << 20)
     assert list(fejer_mean_blocks(coeffs, [], g, 1 << 20)) == []
+
+
+@st.composite
+def row_cases(draw):
+    """A grid of radices 2-7 with M_N <= 4096, a real or complex spectrum on
+    it, a few orders (scales and their neighbours likely) and a block size."""
+    depth = draw(st.integers(0, 12))
+    radix = st.just(2) if draw(st.booleans()) else st.integers(2, 7)  # Walsh half the time
+    m = []
+    for base in draw(st.lists(radix, min_size=depth, max_size=depth)):
+        if math.prod(m) * base > 4096:
+            break
+        m.append(base)
+    g = GeneratorSequence(tuple(m))
+    near_scales = [n for M in g.scale for n in (M - 1, M, M + 1) if 1 <= n <= g.size]
+    order = st.one_of(st.integers(1, g.size), st.sampled_from(near_scales))
+    ns = draw(st.lists(order, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(g.size)
+    if not draw(st.booleans()):
+        coeffs = coeffs + 1j * rng.standard_normal(g.size)
+    return g, coeffs, ns, draw(st.sampled_from([0, 1 << 12, 1 << 16]))
+
+
+def _real_runs(g):
+    return all(_run_matrix(r, +1, False).dtype == np.float64 for r in _digit_runs(g.m))
+
+
+@given(row_cases())
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_row_paths_agree_on_drawn_grids(case):
+    # Every row _row_blocks makes, blocked or single, on a coarse grid or
+    # the full one, against the single entries and the full-grid rows.
+    g, coeffs, ns, block_bytes = case
+    f = synthesize(g, coeffs)
+    spectrum = forward_transform(f).coeffs
+    for rows, single in [(dirichlet_rows, dirichlet), (fejer_kernel_rows, fejer_kernel)]:
+        got = [(n, row) for block, batch in rows(ns, g) for n, row in zip(block.tolist(), batch)]
+        assert [n for n, _ in got] == ns
+        for n, row in got:
+            assert row.astype(np.complex128).tobytes() == single(n, g).values.tobytes(), n
+    assert lebesgue_constants(ns, g).tolist() == [lebesgue_constant(n, g) for n in ns]
+    # Blocked means, tiled from their grids, against the single mean; real
+    # data stays real where the grid's runs allow.
+    seen = []
+    for block, grid, batch in fejer_mean_blocks(spectrum, ns, g, block_bytes):
+        assert (batch.dtype == np.float64) == (np.isrealobj(coeffs) and _real_runs(grid))
+        for n, row in zip(block.tolist(), batch):
+            tiled = np.tile(row, g.size // grid.size).astype(np.complex128)
+            assert tiled.tobytes() == fejer_mean(f, n).values.tobytes(), n
+            seen.append(n)
+    assert seen == ns
+    # Coarse single rows against the full grid: bits, except real spectra
+    # on grids whose run matrices are all real, within 1e-15 of max|row|.
+    exact = not (_real_runs(g) and np.isrealobj(coeffs))
+    coarse = [fejer_mean(f, n).values for n in ns]
+    full = fejer_mean_rows(spectrum, ns, g).astype(np.complex128)
+    off_scales = [n for n in ns if n not in g.scale]
+    coarse += [partial_sum(f, n).values for n in off_scales]
+    full = np.concatenate([full, partial_sum_rows(spectrum, off_scales, g)])
+    for n, got, want in zip(ns + off_scales, coarse, full):
+        if exact:
+            assert got.tobytes() == want.tobytes(), n
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), n
 
 
 NON_INTEGER_ORDERS = [2.5, math.nan, math.inf]
